@@ -16,15 +16,7 @@ from .candidates import (
     describe,
     filter_min_area,
 )
-from .fusion import (
-    CanvasAccumulator,
-    FusionConfig,
-    apply_view,
-    fuse_supports,
-    fuse_views,
-    restore_to_canvas,
-    run_tta,
-)
+from .fusion import apply_view, fuse_supports, fuse_views, run_tta
 from .gating import (
     GateCheck,
     GateConfig,
@@ -79,7 +71,6 @@ from .stats import (
     ks_two_sample,
     median_heuristic,
     mmd2_unbiased,
-    permutation_test,
     subsample,
     two_sample_test,
 )

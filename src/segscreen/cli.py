@@ -11,54 +11,43 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .bench import BenchSpec, run_bench
-from .gating import GateConfig
+from .gating import GateConfig, GeometricParams, ScoringParams, StatisticalParams
 from .pipeline import _jsonable, load_manifest, run_manifest
 from .stats import TestConfig, two_sample_test
 
 SEED_ENV_VAR = "SEGSCREEN_SEED"
 
-_CONFIG_FLAGS = (
-    # (flag, config field, type)
-    ("--tau-bin", "tau_bin", float),
-    ("--view-rule", "view_rule", str),
-    ("--alpha", "alpha", float),
-    ("--permutations", "permutations", int),
-    ("--sample-cap", "sample_cap", int),
-    ("--tau-ks", "tau_ks", float),
-    ("--statistic", "statistic", str),
-    ("--tau-max", "tau_max", float),
-    ("--tau-ratio", "tau_ratio", float),
-    ("--a-min", "a_min", int),
-    ("--tau-mean", "tau_mean", float),
-    ("--tau-intersect", "tau_intersect", float),
-    ("--tau-case", "tau_case", float),
-    ("--pre-filter-area", "pre_filter_area", int),
-    ("--padding-mm", "padding_mm", float),
+# (flag, config field, type): one flag per field of the three parameter
+# groups, named after the field and typed by its default.
+_CONFIG_FLAGS = tuple(
+    ("--" + f.name.replace("_", "-"), f.name, type(f.default))
+    for params in (ScoringParams, StatisticalParams, GeometricParams)
+    for f in fields(params)
 )
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file with scoring/statistical/geometric sections")
     for flag, _field, typ in _CONFIG_FLAGS:
-        parser.add_argument(flag, type=typ, default=None)
-    parser.add_argument("--scales", type=float, nargs="+", default=None,
-                        help="ROI scale jitter factors")
+        if typ is tuple:
+            parser.add_argument(flag, type=float, nargs="+", default=None,
+                                help="ROI scale jitter factors")
+        else:
+            parser.add_argument(flag, type=typ, default=None)
 
 
 def _resolve_config(args: argparse.Namespace) -> GateConfig:
     cfg = GateConfig.from_file(args.config) if args.config else GateConfig()
     overrides = {}
-    for flag, field_name, _typ in _CONFIG_FLAGS:
-        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+    for _flag, field_name, typ in _CONFIG_FLAGS:
+        value = getattr(args, field_name)
         if value is not None:
-            overrides[field_name] = value
-    if getattr(args, "scales", None) is not None:
-        overrides["scales"] = tuple(args.scales)
+            overrides[field_name] = typ(value)  # the --scales list becomes a tuple
     return cfg.override(**overrides)
 
 
@@ -96,9 +85,9 @@ def _read_column(path: str) -> np.ndarray:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
     seed = _default_seed(args)
     try:
+        cfg = _resolve_config(args)
         manifest = load_manifest(args.manifest)
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -130,8 +119,8 @@ def _cmd_stats_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
     try:
+        cfg = _resolve_config(args)
         spec = BenchSpec.from_file(args.spec) if args.spec else BenchSpec()
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

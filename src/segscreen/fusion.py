@@ -1,15 +1,16 @@
 """Multi-view, multi-support fusion of probability maps.
 
-The layering is: within one support (the full frame or one ROI crop),
-the flip views are combined by the configured rule; restoring a crop
-onto the canvas averages overlapping contributions; across supports the
-rule is always pixelwise max, which guarantees that no super-level set
-present in any single support is lost in the fused map.
+The supports are the full frame and each ROI crop. Within one support
+the flip views are aligned back to the identity frame and combined on
+the crop by the configured rule. Across supports the rule is always
+pixelwise max: each ROI result is max-pasted into its box on the
+full-frame map, which guarantees that no super-level set present in
+any single support is lost in the fused map. Probabilities are >= 0,
+so this equals the max over full-frame canvases that are zero outside
+each box.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +19,12 @@ from .grid import ScalarGrid
 from .segmentor import VIEW_KINDS, SegmentorRequest, flip_values
 
 VIEW_RULES = ("max", "median", "mean")
+
+
+def check_view_rule(rule: str) -> None:
+    """The per-support view fusion rule must be one of VIEW_RULES."""
+    if rule not in VIEW_RULES:
+        raise ValueError(f"view rule must be one of {VIEW_RULES}, got {rule!r}")
 
 
 def apply_view(grid: ScalarGrid, kind: str) -> ScalarGrid:
@@ -29,61 +36,6 @@ def apply_view(grid: ScalarGrid, kind: str) -> ScalarGrid:
     return ScalarGrid(flip_values(grid.values, kind), grid.spacing)
 
 
-@dataclass(frozen=True)
-class FusionConfig:
-    view_rule: str = "max"
-    transforms: tuple[str, ...] = VIEW_KINDS
-
-    def __post_init__(self) -> None:
-        if self.view_rule not in VIEW_RULES:
-            raise ValueError(f"view rule must be one of {VIEW_RULES}, got {self.view_rule!r}")
-        if not self.transforms:
-            raise ValueError("at least one view transform is required")
-        bad = [t for t in self.transforms if t not in VIEW_KINDS]
-        if bad:
-            raise ValueError(f"unknown view transforms {bad}")
-
-
-class CanvasAccumulator:
-    """Sum+count canvas for restoring crops with overlap averaging.
-
-    The merge is associative and commutative, so contributions may be
-    added in any order (or merged across workers) with identical
-    finalized output. Pixels never covered finalize to 0.
-    """
-
-    def __init__(self, width: int, height: int):
-        self.width = width
-        self.height = height
-        self._sum = np.zeros((height, width), dtype=np.float64)
-        self._count = np.zeros((height, width), dtype=np.int64)
-
-    def add(self, cropped: ScalarGrid, box: BoundingBox) -> "CanvasAccumulator":
-        if not box.within((self.width, self.height)):
-            raise ValueError(f"box {box.as_tuple()} outside {self.width}x{self.height} canvas")
-        if (cropped.width, cropped.height) != (box.width, box.height):
-            raise ValueError(
-                f"crop is {cropped.width}x{cropped.height} but box is {box.width}x{box.height}"
-            )
-        self._sum[box.y0:box.y1, box.x0:box.x1] += cropped.values
-        self._count[box.y0:box.y1, box.x0:box.x1] += 1
-        return self
-
-    def merge(self, other: "CanvasAccumulator") -> "CanvasAccumulator":
-        self._sum += other._sum
-        self._count += other._count
-        return self
-
-    def finalize(self, spacing: tuple[float, float] = (1.0, 1.0)) -> ScalarGrid:
-        out = np.divide(self._sum, self._count, out=np.zeros_like(self._sum), where=self._count > 0)
-        return ScalarGrid(out, spacing)
-
-
-def restore_to_canvas(acc: CanvasAccumulator, cropped: ScalarGrid, box: BoundingBox) -> CanvasAccumulator:
-    """Accumulate one restored crop; see CanvasAccumulator for semantics."""
-    return acc.add(cropped, box)
-
-
 def fuse_views(maps: list[ScalarGrid], rule: str) -> ScalarGrid:
     """Pixelwise max / median / mean across per-view maps on a common canvas.
 
@@ -92,8 +44,7 @@ def fuse_views(maps: list[ScalarGrid], rule: str) -> ScalarGrid:
     """
     if not maps:
         raise ValueError("fuse_views requires at least one map")
-    if rule not in VIEW_RULES:
-        raise ValueError(f"view rule must be one of {VIEW_RULES}, got {rule!r}")
+    check_view_rule(rule)
     first = maps[0]
     for m in maps[1:]:
         if m.frame != first.frame:
@@ -108,15 +59,25 @@ def fuse_views(maps: list[ScalarGrid], rule: str) -> ScalarGrid:
     return ScalarGrid(fused, first.spacing)
 
 
-def fuse_supports(full_frame: ScalarGrid, roi_maps: list[ScalarGrid]) -> ScalarGrid:
-    """Conservative support fusion: pixelwise max of the full-frame map and
-    every restored ROI map, so a high-probability region seen by any
-    support survives."""
-    out = full_frame.values
-    for m in roi_maps:
-        if m.frame != full_frame.frame:
-            raise ValueError(f"ROI map {m.frame} does not match canvas {full_frame.frame}")
-        out = np.maximum(out, m.values)
+def fuse_supports(full_frame: ScalarGrid,
+                  roi_maps: list[tuple[BoundingBox, ScalarGrid]]) -> ScalarGrid:
+    """Conservative support fusion: max-paste each ROI crop map into its
+    box on the full-frame map, so a high-probability region seen by any
+    support survives.
+
+    Each box must lie inside the frame and each crop must have its box's
+    shape; both guard responses from plug-in backends.
+    """
+    out = np.array(full_frame.values)
+    for box, crop in roi_maps:
+        if not box.within(full_frame.frame):
+            raise ValueError(f"box {box.as_tuple()} outside {full_frame.width}x{full_frame.height} frame")
+        if crop.frame != (box.width, box.height):
+            raise ValueError(
+                f"crop is {crop.width}x{crop.height} but box is {box.width}x{box.height}"
+            )
+        window = out[box.y0:box.y1, box.x0:box.x1]
+        np.maximum(window, crop.values, out=window)
     return ScalarGrid(out, full_frame.spacing)
 
 
@@ -127,49 +88,34 @@ def run_tta(
     frame: tuple[int, int],
     spacing: tuple[float, float],
     segmentor,
-    config: FusionConfig = FusionConfig(),
+    view_rule: str = "max",
 ) -> ScalarGrid:
     """Full test-time-augmentation pass producing the fused probability map.
 
-    Supports are the full frame plus each ROI box. Per support and view
-    the segmentor is queried, the prediction is aligned back to the
-    identity frame, restored onto the canvas with overlap averaging,
-    views are fused by the configured rule, and finally supports are
-    max-fused.
-
-    Backends that re-infer per view (``reinfers_views``) receive the
-    transform in the request and their response is inverted here;
-    otherwise the identity response is round-tripped through the flip
-    and its inverse, exercising the same alignment path.
+    Supports are the full frame plus each ROI box. A backend that
+    re-infers per view (``reinfers_views``) is queried once per support
+    and view, and each answer is flipped back to the identity frame; a
+    view-agnostic backend would answer every view with the same map, so
+    it is queried once per support. The views are fused on the crop by
+    ``view_rule``, then the supports are max-fused.
     """
-    width, height = frame
-    full_box = BoundingBox(0, 0, width, height)
-    supports: list[tuple[str, BoundingBox | None, BoundingBox]] = [("full", None, full_box)]
-    supports += [(f"roi[{i}]", b, b) for i, b in enumerate(boxes)]
-
-    native = getattr(segmentor, "reinfers_views", False)
+    views = VIEW_KINDS if getattr(segmentor, "reinfers_views", False) else ("identity",)
     support_maps: list[ScalarGrid] = []
-    for label, crop, box in supports:
+    for label, crop in [("full", None)] + [(f"roi[{i}]", b) for i, b in enumerate(boxes)]:
         view_maps: list[ScalarGrid] = []
-        for kind in config.transforms:
-            request = SegmentorRequest(
-                image_id=image_id,
-                prompt=tumor_prompt,
-                crop=crop,
-                transform=kind if native else "identity",
-            )
+        for kind in views:
+            request = SegmentorRequest(image_id=image_id, prompt=tumor_prompt, crop=crop,
+                                       transform=kind)
             try:
                 raw = segmentor.segment(request)
             except KeyError as err:
                 detail = err.args[0] if err.args else err
                 raise KeyError(f"{detail} (support {label}, view {kind})") from err
-            if native:
-                pred = apply_view(raw, kind)
-            else:
-                pred = apply_view(apply_view(raw, kind), kind)
-            acc = CanvasAccumulator(width, height)
-            acc.add(pred, box)
-            view_maps.append(acc.finalize(spacing))
-        support_maps.append(fuse_views(view_maps, config.view_rule))
+            view_maps.append(apply_view(raw, kind))
+        support_maps.append(fuse_views(view_maps, view_rule))
 
-    return fuse_supports(support_maps[0], support_maps[1:])
+    full = support_maps[0]
+    if full.frame != frame:
+        raise ValueError(f"full-frame map is {full.frame}, expected frame {frame}")
+    fused = fuse_supports(full, list(zip(boxes, support_maps[1:])))
+    return ScalarGrid(fused.values, spacing)

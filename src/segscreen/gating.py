@@ -21,8 +21,10 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 
 from .candidates import CandidateRegion
+from .fusion import check_view_rule
+from .geometry import check_padding_mm, check_scales
 from .grid import BinaryMask, ScalarGrid, positive_ratio
-from .stats import ks_two_sample
+from .stats import TestConfig, ks_two_sample
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,11 @@ class StatisticalParams:
     sample_cap: int = 4000
     tau_ks: float = 0.05
     statistic: str = "mmd2"
+
+    def test_config(self, seed: int = 0) -> TestConfig:
+        """Settings of one candidate test; building it applies TestConfig's rules."""
+        return TestConfig(permutations=self.permutations, alpha=self.alpha,
+                          sample_cap=self.sample_cap, statistic=self.statistic, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -62,19 +69,15 @@ class GateConfig:
     geometric: GeometricParams = field(default_factory=GeometricParams)
 
     def __post_init__(self) -> None:
+        # Rules that belong to the stage consuming a value are applied by
+        # that stage's own checks, so a config accepted here cannot fail
+        # an image later.
         s, st, g = self.scoring, self.statistical, self.geometric
         if not (0.30 <= s.tau_bin <= 0.55):
             raise ValueError(f"tau_bin must lie in [0.30, 0.55], got {s.tau_bin}")
-        if s.view_rule not in ("max", "median", "mean"):
-            raise ValueError(f"unknown view rule {s.view_rule!r}")
-        if not s.scales or any(x <= 0 for x in s.scales):
-            raise ValueError(f"scales must be positive and non-empty, got {s.scales}")
-        if not (0.0 < st.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {st.alpha}")
-        if st.permutations < 19:
-            raise ValueError(f"permutations must be >= 19, got {st.permutations}")
-        if st.sample_cap < 2:
-            raise ValueError(f"sample cap must be >= 2, got {st.sample_cap}")
+        check_view_rule(s.view_rule)
+        check_scales(s.scales)
+        st.test_config()
         if not (0.0 < st.tau_ks <= 1.0):
             raise ValueError(f"tau_ks must lie in (0, 1], got {st.tau_ks}")
         if not (0.0 <= g.tau_max <= 1.0):
@@ -89,8 +92,7 @@ class GateConfig:
             raise ValueError(f"tau_intersect must lie in [0, 1], got {g.tau_intersect}")
         if g.tau_case < 0:
             raise ValueError(f"tau_case must be >= 0, got {g.tau_case}")
-        if g.padding_mm < 0:
-            raise ValueError(f"padding must be >= 0 mm, got {g.padding_mm}")
+        check_padding_mm((g.padding_mm,))
 
     def to_dict(self) -> dict:
         return {"scoring": asdict(self.scoring), "statistical": asdict(self.statistical),

@@ -80,20 +80,26 @@ class AnatomyPlan:
     anchor_threshold: float = DEFAULT_ANCHOR_THRESHOLD
 
     def __post_init__(self) -> None:
-        if len(self.anchors) == 0:
-            raise ValueError("plan must list at least one anchor")
-        if not all(isinstance(a, str) and a for a in self.anchors):
-            raise ValueError("plan anchors must be non-empty strings")
+        if len(self.anchors) == 0 or not all(isinstance(a, str) and a for a in self.anchors):
+            raise ValueError(f"anchors must be a non-empty list of non-empty strings, got {self.anchors}")
         if not self.tumor_prompt:
-            raise ValueError("plan must give a tumor prompt")
-        if len(self.scales) == 0:
-            raise ValueError("plan scales must be non-empty")
-        if any(not (s > 0 and math.isfinite(s)) for s in self.scales):
-            raise ValueError(f"plan scales must be positive, got {self.scales}")
-        if any(p < 0 or not math.isfinite(p) for p in self.padding_mm):
-            raise ValueError(f"plan padding must be non-negative mm, got {self.padding_mm}")
+            raise ValueError("tumor_prompt must be a non-empty string")
+        check_scales(self.scales)
+        check_padding_mm(self.padding_mm)
         if not (0.0 <= self.anchor_threshold <= 1.0):
-            raise ValueError(f"anchor threshold must lie in [0, 1], got {self.anchor_threshold}")
+            raise ValueError(f"anchor_threshold must lie in [0, 1], got {self.anchor_threshold}")
+
+
+def check_scales(scales) -> None:
+    """ROI scale factors: a non-empty sequence of finite positive numbers."""
+    if len(scales) == 0 or any(not (s > 0 and math.isfinite(s)) for s in scales):
+        raise ValueError(f"scales must be a non-empty list of finite positive numbers, got {scales}")
+
+
+def check_padding_mm(padding_mm) -> None:
+    """ROI padding: finite and non-negative millimetres on every axis."""
+    if any(not (p >= 0 and math.isfinite(p)) for p in padding_mm):
+        raise ValueError(f"padding_mm must be finite and >= 0, got {padding_mm}")
 
 
 def plan_from_dict(
@@ -104,20 +110,21 @@ def plan_from_dict(
 ) -> AnatomyPlan:
     """Build a validated AnatomyPlan from parsed JSON, field by field.
 
-    Plans arrive from an external generator, so every field is checked
-    with an explicit error naming the offending entry. A scalar
-    ``padding_mm`` broadcasts to both axes.
+    Plans arrive from an external generator, so every field's JSON type
+    is checked here with an explicit error naming the offending entry;
+    value ranges are AnatomyPlan's, and every error is prefixed with
+    ``source``. A scalar ``padding_mm`` broadcasts to both axes.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{source}: plan must be a JSON object")
 
     anchors = data.get("anchors")
-    if not isinstance(anchors, list) or not anchors or not all(isinstance(a, str) and a for a in anchors):
-        raise ValueError(f"{source}: 'anchors' must be a non-empty list of strings")
+    if not isinstance(anchors, list) or not all(isinstance(a, str) for a in anchors):
+        raise ValueError(f"{source}: 'anchors' must be a list of strings")
 
     tumor_prompt = data.get("tumor_prompt")
-    if not isinstance(tumor_prompt, str) or not tumor_prompt:
-        raise ValueError(f"{source}: 'tumor_prompt' must be a non-empty string")
+    if not isinstance(tumor_prompt, str):
+        raise ValueError(f"{source}: 'tumor_prompt' must be a string")
 
     roi = data.get("roi", {})
     if not isinstance(roi, dict):
@@ -126,14 +133,15 @@ def plan_from_dict(
     padding = roi.get("padding_mm", default_padding_mm)
     if isinstance(padding, (int, float)):
         padding = (float(padding), float(padding))
-    elif isinstance(padding, (list, tuple)) and len(padding) == 2:
+    elif (isinstance(padding, (list, tuple)) and len(padding) == 2
+          and all(isinstance(p, (int, float)) for p in padding)):
         padding = (float(padding[0]), float(padding[1]))
     else:
         raise ValueError(f"{source}: 'roi.padding_mm' must be a number or a pair of numbers")
 
     scales = roi.get("scales", list(default_scales))
-    if not isinstance(scales, list) or not scales or not all(isinstance(s, (int, float)) for s in scales):
-        raise ValueError(f"{source}: 'roi.scales' must be a non-empty list of numbers")
+    if not isinstance(scales, list) or not all(isinstance(s, (int, float)) for s in scales):
+        raise ValueError(f"{source}: 'roi.scales' must be a list of numbers")
 
     square = roi.get("square", True)
     if not isinstance(square, bool):
@@ -144,8 +152,8 @@ def plan_from_dict(
         raise ValueError(f"{source}: 'rationale' must be a string")
 
     threshold = data.get("anchor_threshold", DEFAULT_ANCHOR_THRESHOLD)
-    if not isinstance(threshold, (int, float)) or not (0.0 <= float(threshold) <= 1.0):
-        raise ValueError(f"{source}: 'anchor_threshold' must be a number in [0, 1]")
+    if not isinstance(threshold, (int, float)):
+        raise ValueError(f"{source}: 'anchor_threshold' must be a number")
 
     try:
         return AnatomyPlan(

@@ -22,14 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .candidates import CandidateRegion, candidates_to_mask, connected_components, describe, filter_min_area
-from .fusion import FusionConfig, run_tta
+from .fusion import run_tta
 from .gating import GateConfig, GateVerdict, gate_candidate, gate_case, gate_existence
 from .geometry import AnatomyPlan, boxes_to_mask, build_rois, load_plan
 from .grid import BinaryMask, ScalarGrid, binarize
 from .metrics import MetricsReport
 from .segmentor import SegmentorRequest
 from .sgrid import read_mask, read_sgrid
-from .stats import TestConfig, TestOutcome, bh_fdr, derive_seed, two_sample_test
+from .stats import MIN_SAMPLE_SIZE, TestOutcome, bh_fdr, derive_seed, two_sample_test
 
 
 @dataclass
@@ -194,8 +194,8 @@ def process_case(
     timing["rois"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    fusion_cfg = FusionConfig(view_rule=cfg.scoring.view_rule)
-    fused = run_tta(image_id, plan.tumor_prompt, boxes, frame, spacing, segmentor, fusion_cfg)
+    fused = run_tta(image_id, plan.tumor_prompt, boxes, frame, spacing, segmentor,
+                    cfg.scoring.view_rule)
     timing["fusion"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -221,21 +221,21 @@ def process_case(
     feat = minmax_normalize(intensity)
     control_feat = feat[union_mask.bits]
     outcomes: dict[int, TestOutcome] = {}
+    untestable: set[int] = set()
     if cands and control_feat.size >= 2:
-        for c in cands:
+        # A candidate too small for the statistic gets no p-value and
+        # stays out of the BH family.
+        need = MIN_SAMPLE_SIZE[cfg.statistical.statistic]
+        tested = [c for c in cands if c.area >= need]
+        untestable = {c.id for c in cands if c.area < need}
+        for c in tested:
             cand_feat = feat[c.pixels[:, 1], c.pixels[:, 0]]
-            cfg_c = TestConfig(
-                permutations=cfg.statistical.permutations,
-                alpha=cfg.statistical.alpha,
-                sample_cap=cfg.statistical.sample_cap,
-                statistic=cfg.statistical.statistic,
-                seed=derive_seed(base_seed, image_id, c.id),
-            )
+            cfg_c = cfg.statistical.test_config(seed=derive_seed(base_seed, image_id, c.id))
             outcomes[c.id] = two_sample_test(cand_feat, control_feat, cfg_c)
-        kept_flags = bh_fdr([outcomes[c.id].p_value for c in cands], cfg.statistical.alpha)
-        for c, kept in zip(cands, kept_flags):
+        kept_flags = bh_fdr([outcomes[c.id].p_value for c in tested], cfg.statistical.alpha)
+        for c, kept in zip(tested, kept_flags):
             outcomes[c.id].bh_kept = bool(kept)
-        screened = [c for c, kept in zip(cands, kept_flags) if kept]
+        screened = [c for c, kept in zip(tested, kept_flags) if kept]
     elif cands:
         warnings.append("control region smaller than 2 px; statistical screen skipped")
         screened = list(cands)
@@ -254,6 +254,8 @@ def process_case(
     for c in cands:
         if c.id in final_ids:
             decision = "kept"
+        elif c.id in untestable:
+            decision = "rejected:untestable"
         elif c.id in outcomes and not outcomes[c.id].bh_kept:
             decision = "rejected:statistical"
         elif c.id in l2_verdicts and not l2_verdicts[c.id].passed:

@@ -2,8 +2,8 @@
 
 Two backends cover desk-scale needs. The file backend serves
 precomputed full-frame maps keyed by (image_id, prompt) and answers
-crops by sub-grid extraction; it is view-agnostic, so callers simulate
-flip views themselves. The synthetic backend renders analytic Gaussian
+crops by sub-grid extraction; it is view-agnostic, so every view would
+get the same map and callers ask it once per crop. The synthetic backend renders analytic Gaussian
 blob scenes and natively honors the requested view, behaving like a
 perfectly flip-equivariant model.
 
@@ -51,8 +51,8 @@ class FileBackend:
     """Serves stored full-frame probability maps, cropping on demand.
 
     ``maps`` maps (image_id, prompt) to a probability-map ScalarGrid.
-    Responses are always in the identity view; run_tta round-trips the
-    flips on the caller side (``reinfers_views`` is False).
+    Responses are always in the identity view (``reinfers_views`` is
+    False), so run_tta queries it once per support, not once per view.
     """
 
     reinfers_views = False

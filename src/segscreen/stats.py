@@ -17,6 +17,9 @@ import numpy as np
 
 MEDIAN_HEURISTIC_MAX_POINTS = 2000
 STATISTIC_KINDS = ("mmd2", "energy")
+# Fewest points per set each statistic is defined for: the unbiased MMD^2
+# excludes the diagonal, so it needs a pair within each set.
+MIN_SAMPLE_SIZE = {"mmd2": 2, "energy": 1}
 
 
 def derive_seed(base_seed: int, *parts) -> int:
@@ -128,30 +131,6 @@ def _canonical_order(pooled: np.ndarray) -> np.ndarray:
     return np.lexsort(pooled.T[::-1])
 
 
-def permutation_test(x, y, statistic_fn, permutations: int = 199, seed=0) -> float:
-    """Permutation p-value for any two-sample statistic.
-
-    Pools the samples, reshuffles into the original sizes B times and
-    counts permuted statistics >= the observed one; returns the smoothed
-    estimate (count + 1) / (B + 1). The statistic callable must close
-    over any bandwidth so it is not re-estimated per permutation.
-    """
-    if permutations < 1:
-        raise ValueError(f"need at least 1 permutation, got {permutations}")
-    xa, ya = as_sample(x), as_sample(y)
-    m = xa.shape[0]
-    observed = float(statistic_fn(xa, ya))
-    pooled = np.vstack([xa, ya])
-    pooled = pooled[_canonical_order(pooled)]
-    rng = np.random.default_rng(seed)
-    count = 0
-    for _ in range(permutations):
-        perm = rng.permutation(pooled.shape[0])
-        if float(statistic_fn(pooled[perm[:m]], pooled[perm[m:]])) >= observed:
-            count += 1
-    return (count + 1) / (permutations + 1)
-
-
 # -- Fast permutation path -------------------------------------------------
 #
 # Both MMD^2 and the energy statistic are functions of one pooled pairwise
@@ -218,7 +197,6 @@ class TestConfig:
     permutations: int = 199
     alpha: float = 0.05
     sample_cap: int = 4000
-    kernel: str = "gaussian"
     statistic: str = "mmd2"
     seed: int = 0
 
@@ -229,8 +207,6 @@ class TestConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.sample_cap < 2:
             raise ValueError(f"sample cap must be >= 2, got {self.sample_cap}")
-        if self.kernel != "gaussian":
-            raise ValueError(f"only the gaussian kernel is supported, got {self.kernel!r}")
         if self.statistic not in STATISTIC_KINDS:
             raise ValueError(f"statistic must be one of {STATISTIC_KINDS}, got {self.statistic!r}")
 
@@ -260,10 +236,9 @@ def two_sample_test(x, y, config: TestConfig = TestConfig()) -> TestOutcome:
     xa = subsample(x, config.sample_cap, rng)
     ya = subsample(y, config.sample_cap, rng)
     m, n = xa.shape[0], ya.shape[0]
-    if config.statistic == "mmd2" and (m < 2 or n < 2):
-        raise ValueError(f"unbiased MMD^2 needs >= 2 points per set, got {m} and {n}")
-    if m < 1 or n < 1:
-        raise ValueError("two_sample_test needs non-empty samples")
+    need = MIN_SAMPLE_SIZE[config.statistic]
+    if m < need or n < need:
+        raise ValueError(f"{config.statistic} needs >= {need} points per set, got {m} and {n}")
     pooled = np.vstack([xa, ya])
     sigma = median_heuristic(pooled, seed=rng)
     matrix = _pooled_matrix(config.statistic, pooled, sigma)

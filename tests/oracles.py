@@ -2,7 +2,9 @@
 
 These deliberately mirror none of the library's code paths: flood fill
 instead of labeling, explicit rule evaluation instead of vectorized
-sorting, direct definition sums instead of block-sum shortcuts.
+sorting, direct definition sums instead of block-sum shortcuts, one
+statistic evaluation per permutation instead of a pooled matrix, and
+zero-padded full-frame canvases instead of max-pasting crops.
 """
 
 from __future__ import annotations
@@ -10,6 +12,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from segscreen.segmentor import SegmentorRequest
+
+VIEWS = ("identity", "flip_lr", "flip_tb")
 
 
 def flood_fill_components(bits: np.ndarray) -> list[set[tuple[int, int]]]:
@@ -89,3 +95,64 @@ def ecdf_distance(x, y) -> float:
         fy = sum(1 for v in ys if v <= t) / len(ys)
         best = max(best, abs(fx - fy))
     return best
+
+
+def permutation_test(x, y, statistic_fn, permutations: int = 199, seed=0) -> float:
+    """Permutation p-value for any two-sample statistic.
+
+    Pools the samples, reshuffles into the original sizes B times and
+    counts permuted statistics >= the observed one; returns the smoothed
+    estimate (count + 1) / (B + 1). The statistic callable must close
+    over any bandwidth so it is not re-estimated per permutation. The
+    pool is put in lexicographic row order first, as the library does,
+    so that both draw the same partitions from the same seed.
+    """
+    if permutations < 1:
+        raise ValueError(f"need at least 1 permutation, got {permutations}")
+    xa = np.asarray(x, dtype=float).reshape(len(x), -1)
+    ya = np.asarray(y, dtype=float).reshape(len(y), -1)
+    m = xa.shape[0]
+    observed = float(statistic_fn(xa, ya))
+    pooled = np.vstack([xa, ya])
+    pooled = pooled[np.lexsort(pooled.T[::-1])]
+    rng = np.random.default_rng(seed)
+    count = 0
+    for _ in range(permutations):
+        perm = rng.permutation(pooled.shape[0])
+        if float(statistic_fn(pooled[perm[:m]], pooled[perm[m:]])) >= observed:
+            count += 1
+    return (count + 1) / (permutations + 1)
+
+
+def fuse_by_definition(segmentor, image_id, prompt, boxes, frame, rule) -> np.ndarray:
+    """TTA fusion from its definition: each support and view on its own
+    full-frame canvas, zero outside the support's box, the views fused
+    per pixel by ``rule``, then the max over supports.
+
+    A view-agnostic backend is asked for the identity view each time and
+    its answer used as the view's prediction, since flipping and flipping
+    back is the identity.
+    """
+    width, height = frame
+    native = getattr(segmentor, "reinfers_views", False)
+    unflip = {"identity": lambda a: a, "flip_lr": lambda a: a[:, ::-1],
+              "flip_tb": lambda a: a[::-1, :]}
+    supports = []
+    for box in [None] + list(boxes):
+        x0, y0, x1, y1 = (0, 0, width, height) if box is None else box.as_tuple()
+        canvases = []
+        for kind in VIEWS:
+            request = SegmentorRequest(image_id=image_id, prompt=prompt, crop=box,
+                                       transform=kind if native else "identity")
+            raw = segmentor.segment(request).values
+            canvas = np.zeros((height, width))
+            canvas[y0:y1, x0:x1] = unflip[kind](raw) if native else raw
+            canvases.append(canvas)
+        stack = np.stack(canvases)
+        if rule == "max":
+            supports.append(stack.max(axis=0))
+        elif rule == "mean":
+            supports.append(stack.mean(axis=0))
+        else:
+            supports.append(np.sort(stack, axis=0)[len(VIEWS) // 2])
+    return np.stack(supports).max(axis=0)

@@ -158,7 +158,7 @@ def test_c08_fusion_monotonicity():
     for _ in range(200):
         full = ScalarGrid(rng.uniform(size=(12, 12)))
         rois = [ScalarGrid(rng.uniform(size=(12, 12))) for _ in range(int(rng.integers(1, 4)))]
-        fused = fuse_supports(full, rois)
+        fused = fuse_supports(full, [(BoundingBox(0, 0, 12, 12), r) for r in rois])
         for tau in np.arange(0.1, 0.95, 0.1):
             combined = fused.values >= tau
             for src in [full] + rois:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from segscreen.cli import main
+from segscreen.cli import _CONFIG_FLAGS, main
 
 from conftest import write_dataset
 
@@ -85,6 +85,23 @@ class TestRunCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["n_positive"] == 0
 
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--tau-bin", "0.9"], "tau_bin"),
+        (["--statistic", "foo"], "statistic"),
+        (["--config", "missing.json"], "missing.json"),
+    ])
+    def test_bad_config_exits_2(self, tmp_path, capsys, monkeypatch, command, flags, message):
+        monkeypatch.chdir(tmp_path)
+        manifest = write_dataset(tmp_path, n_cases=1, seed=5)
+        args = {"run": ["run", "--manifest", str(manifest), "--out", str(tmp_path / "o")],
+                "bench": ["bench"]}[command]
+        rc = main(args + flags)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "o").exists()
+
     def test_env_var_seed(self, tmp_path, capsys, monkeypatch):
         manifest = write_dataset(tmp_path, n_cases=1, seed=5)
         monkeypatch.setenv("SEGSCREEN_SEED", "42")
@@ -98,6 +115,14 @@ class TestRunCommand:
         rc = main(["run", "--manifest", str(manifest), "--out", str(out_dir), "--dump-fused"])
         assert rc == 0
         assert (out_dir / "masks" / "case0000.fused.sgrid").exists()
+
+
+def test_config_flags_cover_every_config_field():
+    assert {flag for flag, _field, _typ in _CONFIG_FLAGS} == {
+        "--tau-bin", "--view-rule", "--scales", "--alpha", "--permutations", "--sample-cap",
+        "--tau-ks", "--statistic", "--tau-max", "--tau-ratio", "--a-min", "--tau-mean",
+        "--tau-intersect", "--tau-case", "--pre-filter-area", "--padding-mm",
+    }
 
 
 class TestBenchCommand:

@@ -1,24 +1,20 @@
 import numpy as np
 import pytest
 
-from segscreen.fusion import (
-    CanvasAccumulator,
-    FusionConfig,
-    apply_view,
-    fuse_supports,
-    fuse_views,
-    restore_to_canvas,
-    run_tta,
-)
+from segscreen.fusion import VIEW_RULES, apply_view, fuse_supports, fuse_views, run_tta
 from segscreen.geometry import BoundingBox
 from segscreen.grid import ScalarGrid
 from segscreen.segmentor import (
     Blob,
+    ClutterSpec,
     FileBackend,
     SyntheticBackend,
     SyntheticSceneSpec,
     VIEW_KINDS,
+    render_synthetic,
 )
+
+from oracles import fuse_by_definition
 
 
 def random_grid(rng, w=9, h=7):
@@ -49,65 +45,6 @@ class TestApplyView:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             apply_view(ScalarGrid(np.zeros((2, 2))), "rot90")
-
-
-class TestRestoreToCanvas:
-    def test_single_full_cover(self):
-        rng = np.random.default_rng(31)
-        crop = random_grid(rng, 6, 5)
-        acc = CanvasAccumulator(6, 5)
-        restore_to_canvas(acc, crop, BoundingBox(0, 0, 6, 5))
-        assert np.array_equal(acc.finalize().values, crop.values)
-
-    def test_overlap_averages(self):
-        acc = CanvasAccumulator(3, 1)
-        restore_to_canvas(acc, ScalarGrid(np.array([[0.2, 0.2]])), BoundingBox(0, 0, 2, 1))
-        restore_to_canvas(acc, ScalarGrid(np.array([[0.6, 0.6]])), BoundingBox(1, 0, 3, 1))
-        out = acc.finalize().values
-        assert out[0, 1] == pytest.approx(0.4)
-        assert out[0, 0] == pytest.approx(0.2)
-        assert out[0, 2] == pytest.approx(0.6)
-
-    def test_uncovered_pixels_are_zero(self):
-        acc = CanvasAccumulator(4, 4)
-        restore_to_canvas(acc, ScalarGrid(np.full((2, 2), 0.9)), BoundingBox(0, 0, 2, 2))
-        out = acc.finalize().values
-        assert out[3, 3] == 0.0
-
-    def test_box_outside_canvas_rejected(self):
-        acc = CanvasAccumulator(4, 4)
-        with pytest.raises(ValueError):
-            restore_to_canvas(acc, ScalarGrid(np.zeros((2, 2))), BoundingBox(3, 3, 5, 5))
-
-    def test_dim_mismatch_rejected(self):
-        acc = CanvasAccumulator(4, 4)
-        with pytest.raises(ValueError):
-            restore_to_canvas(acc, ScalarGrid(np.zeros((2, 2))), BoundingBox(0, 0, 3, 2))
-
-    def test_merge_order_independent(self):
-        rng = np.random.default_rng(32)
-        crops = [(random_grid(rng, 3, 3), BoundingBox(i, i, i + 3, i + 3)) for i in range(4)]
-        a = CanvasAccumulator(8, 8)
-        for crop, box in crops:
-            a.add(crop, box)
-        b = CanvasAccumulator(8, 8)
-        for crop, box in reversed(crops):
-            b.add(crop, box)
-        # merge() of partial accumulators also matches
-        c1, c2 = CanvasAccumulator(8, 8), CanvasAccumulator(8, 8)
-        for i, (crop, box) in enumerate(crops):
-            (c1 if i % 2 else c2).add(crop, box)
-        merged = c1.merge(c2)
-        assert np.array_equal(a.finalize().values, b.finalize().values)
-        assert np.array_equal(a.finalize().values, merged.finalize().values)
-
-    def test_average_exact_up_to_four_covers(self):
-        for k in (1, 2, 3, 4):
-            acc = CanvasAccumulator(1, 1)
-            vals = [0.1 * (i + 1) for i in range(k)]
-            for v in vals:
-                acc.add(ScalarGrid(np.array([[v]])), BoundingBox(0, 0, 1, 1))
-            assert acc.finalize().values[0, 0] == pytest.approx(sum(vals) / k)
 
 
 class TestFuseViews:
@@ -145,6 +82,10 @@ class TestFuseViews:
         assert np.all(mx >= mean)
 
 
+def whole(grid):
+    return BoundingBox(0, 0, grid.width, grid.height)
+
+
 class TestFuseSupports:
     def test_empty_roi_list_returns_full(self):
         rng = np.random.default_rng(36)
@@ -153,31 +94,80 @@ class TestFuseSupports:
 
     def test_roi_peak_survives(self):
         full = ScalarGrid(np.zeros((8, 8)))
-        roi = np.zeros((8, 8))
-        roi[4, 4] = 0.8
-        fused = fuse_supports(full, [ScalarGrid(roi)])
+        roi = np.zeros((4, 4))
+        roi[2, 2] = 0.8
+        fused = fuse_supports(full, [(BoundingBox(2, 2, 6, 6), ScalarGrid(roi))])
         assert fused.values[4, 4] == pytest.approx(0.8)
+        assert full.values[4, 4] == 0.0  # the input map is not written to
 
     def test_superlevel_sets_contain_inputs(self):
         rng = np.random.default_rng(37)
         for _ in range(20):
             full = random_grid(rng)
             rois = [random_grid(rng) for _ in range(3)]
-            fused = fuse_supports(full, rois)
+            fused = fuse_supports(full, [(whole(r), r) for r in rois])
             for tau in np.linspace(0.1, 0.9, 9):
                 combined = fused.values >= tau
                 for src in [full] + rois:
                     assert np.all(combined | ~(src.values >= tau))
 
+    def test_box_outside_canvas_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            fuse_supports(ScalarGrid(np.zeros((4, 4))),
+                          [(BoundingBox(3, 3, 5, 5), ScalarGrid(np.zeros((2, 2))))])
 
-def synthetic_backend(blobs, frame=(64, 64), floor=0.05):
-    spec = SyntheticSceneSpec(
+    def test_dim_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="crop is 2x2 but box is 3x2"):
+            fuse_supports(ScalarGrid(np.zeros((4, 4))),
+                          [(BoundingBox(0, 0, 3, 2), ScalarGrid(np.zeros((2, 2))))])
+
+
+def synthetic_spec(blobs, frame=(64, 64), floor=0.05, clutter=ClutterSpec()):
+    return SyntheticSceneSpec(
         frame=frame,
         organ_blobs=(Blob(frame[0] / 2, frame[1] / 2, 10, 0.9),),
         lesion_blobs=tuple(blobs),
+        clutter=clutter,
         noise_floor=floor,
     )
-    return SyntheticBackend({"img": spec})
+
+
+def synthetic_backend(blobs, frame=(64, 64), floor=0.05):
+    return SyntheticBackend({"img": synthetic_spec(blobs, frame, floor)})
+
+
+def random_box(rng, frame):
+    x0, x1 = sorted(rng.choice(frame[0] + 1, size=2, replace=False))
+    y0, y1 = sorted(rng.choice(frame[1] + 1, size=2, replace=False))
+    return BoundingBox(int(x0), int(y0), int(x1), int(y1))
+
+
+class CountingFileBackend(FileBackend):
+    def __init__(self, maps):
+        super().__init__(maps)
+        self.calls = 0
+
+    def segment(self, request):
+        self.calls += 1
+        return super().segment(request)
+
+
+class PerViewBackend:
+    """Native-view backend that answers each view, and crops apart from the
+    full frame, from its own map: like a model that is not flip-equivariant
+    and sees a crop differently, so views and supports really differ."""
+
+    reinfers_views = True
+
+    def __init__(self, maps):
+        self.maps = maps
+
+    def segment(self, request):
+        grid = self.maps[request.transform, request.crop is None]
+        if request.crop is not None:
+            c = request.crop
+            grid = grid.crop(c.x0, c.y0, c.x1, c.y1)
+        return apply_view(grid, request.transform)
 
 
 class TestRunTta:
@@ -185,9 +175,9 @@ class TestRunTta:
         rng = np.random.default_rng(38)
         stored = ScalarGrid(rng.uniform(size=(16, 16)))
         backend = FileBackend({("img", "tumor"): stored})
-        cfg = FusionConfig(view_rule="max", transforms=("identity",))
-        out = run_tta("img", "tumor", [], (16, 16), (1.0, 1.0), backend, cfg)
-        assert np.array_equal(out.values, stored.values)
+        for rule in VIEW_RULES:
+            out = run_tta("img", "tumor", [], (16, 16), (1.0, 1.0), backend, rule)
+            assert np.array_equal(out.values, stored.values)
 
     def test_blob_peak_preserved_by_max_rules(self):
         backend = synthetic_backend([Blob(32, 32, 5, 0.9)])
@@ -197,18 +187,19 @@ class TestRunTta:
         assert abs(out.values[32, 32] - 0.9) < 1e-6
 
     def test_symmetric_scene_unchanged_by_flips(self):
-        # Blob at the exact frame center is invariant under both flips.
+        # Blob at the exact frame center is invariant under both flips, so
+        # fusing the flip views equals fusing the identity view alone.
         backend = synthetic_backend([Blob(31.5, 31.5, 6, 0.8)])
+        spec = synthetic_spec([Blob(31.5, 31.5, 6, 0.8)])
+        identity_only = FileBackend({("img", "tumor"): render_synthetic(spec, "tumor")})
         boxes = [BoundingBox(8, 8, 56, 56)]
-        with_flips = run_tta("img", "tumor", boxes, (64, 64), (1.0, 1.0), backend,
-                             FusionConfig(view_rule="max"))
-        no_flips = run_tta("img", "tumor", boxes, (64, 64), (1.0, 1.0), backend,
-                           FusionConfig(view_rule="max", transforms=("identity",)))
+        with_flips = run_tta("img", "tumor", boxes, (64, 64), (1.0, 1.0), backend, "max")
+        no_flips = run_tta("img", "tumor", boxes, (64, 64), (1.0, 1.0), identity_only, "max")
         assert np.allclose(with_flips.values, no_flips.values)
 
     def test_file_backend_round_trip_matches_native(self):
         # A flip-symmetric map gives identical fusion through both the
-        # caller-side simulation (file backend) and native views (synthetic).
+        # view-agnostic file backend and native views (synthetic).
         rng = np.random.default_rng(39)
         base = rng.uniform(size=(16, 16))
         sym = (base + base[:, ::-1] + base[::-1, :] + base[::-1, ::-1]) / 4.0
@@ -220,3 +211,50 @@ class TestRunTta:
         backend = FileBackend({("img", "tumor"): ScalarGrid(np.zeros((8, 8)))})
         with pytest.raises(KeyError, match=r"support full, view identity"):
             run_tta("img", "other prompt", [], (8, 8), (1.0, 1.0), backend)
+
+    def test_output_carries_requested_spacing(self):
+        backend = FileBackend({("img", "tumor"): ScalarGrid(np.zeros((8, 8)), (1.0, 1.0))})
+        out = run_tta("img", "tumor", [BoundingBox(1, 1, 5, 5)], (8, 8), (0.5, 2.0), backend)
+        assert out.spacing == (0.5, 2.0)
+
+    def test_frame_mismatch_rejected(self):
+        backend = FileBackend({("img", "tumor"): ScalarGrid(np.zeros((8, 8)))})
+        with pytest.raises(ValueError, match="expected frame"):
+            run_tta("img", "tumor", [], (8, 6), (1.0, 1.0), backend)
+
+    def test_one_file_backend_query_per_support(self):
+        backend = CountingFileBackend({("img", "tumor"): ScalarGrid(np.zeros((16, 16)))})
+        boxes = [BoundingBox(2, 2, 10, 10), BoundingBox(1, 1, 12, 12), BoundingBox(0, 0, 14, 14)]
+        run_tta("img", "tumor", boxes, (16, 16), (1.0, 1.0), backend)
+        assert backend.calls == 1 + len(boxes)
+
+    @pytest.mark.parametrize("rule", VIEW_RULES)
+    def test_matches_definition_on_random_boxes(self, rule):
+        # Native views: equal to per-view zero canvases max-fused across
+        # supports, byte for byte. View-agnostic backend: equal to the same
+        # definition, except that the mean of three identical maps can be
+        # off by one ulp, where run_tta returns the stored map itself. The
+        # synthetic backend is flip-equivariant and crops its full-frame
+        # map, so its views and supports agree; the per-view backend makes
+        # them differ.
+        rng = np.random.default_rng(40)
+        frame = (40, 32)
+        for scene in range(12):
+            blobs = [Blob(float(rng.uniform(0, frame[0])), float(rng.uniform(0, frame[1])),
+                          float(rng.uniform(2, 8)), float(rng.uniform(0.3, 1.0)))
+                     for _ in range(2)]
+            spec = synthetic_spec(blobs, frame=frame,
+                                  clutter=ClutterSpec(count=2, seed=scene))
+            stored = render_synthetic(spec, "tumor")
+            boxes = [random_box(rng, frame) for _ in range(3)]
+            native = SyntheticBackend({"img": spec})
+            agnostic = FileBackend({("img", "tumor"): stored})
+            per_view = PerViewBackend({(kind, full): ScalarGrid(rng.uniform(size=(frame[1], frame[0])))
+                                       for kind in VIEW_KINDS for full in (True, False)})
+            for backend in (native, agnostic, per_view):
+                out = run_tta("img", "tumor", boxes, frame, (1.0, 1.0), backend, rule)
+                if backend is agnostic and rule == "mean":
+                    want = stored.values
+                else:
+                    want = fuse_by_definition(backend, "img", "tumor", boxes, frame, rule)
+                assert out.values.tobytes() == want.tobytes()

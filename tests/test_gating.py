@@ -62,6 +62,18 @@ class TestGateConfig:
         with pytest.raises(ValueError, match="tau_case"):
             GateConfig(geometric=GeometricParams(tau_case=-1.0))
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("statistic", "foo", "statistic"),
+        ("scales", (float("nan"),), "scales"),
+        ("scales", (), "scales"),
+        ("padding_mm", float("nan"), "padding_mm"),
+        ("view_rule", "min", "view rule"),
+        ("permutations", 5, "permutations"),
+    ])
+    def test_rules_of_later_stages_applied_when_built(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            GateConfig().override(**{field: value})
+
     def test_from_dict_sections(self):
         cfg = GateConfig.from_dict({
             "scoring": {"tau_bin": 0.35},

@@ -6,7 +6,7 @@ import pytest
 from segscreen.gating import GateConfig
 from segscreen.grid import ScalarGrid
 from segscreen.pipeline import load_manifest, minmax_normalize, process_case, run_manifest
-from segscreen.segmentor import Blob, SyntheticBackend, SyntheticSceneSpec
+from segscreen.segmentor import Blob, FileBackend, SyntheticBackend, SyntheticSceneSpec, render_synthetic
 from segscreen.geometry import AnatomyPlan
 
 from conftest import write_dataset
@@ -138,6 +138,30 @@ class TestProcessCase:
         result = process_case("img", ScalarGrid(canvas), plan, backend, GateConfig())
         total = sum(c.area for c in result.final_candidates)
         assert result.final_mask.count == total
+
+    def test_single_pixel_candidate_is_untestable_not_failed(self):
+        # The unbiased MMD^2 needs two points per set, so a 1 px candidate
+        # admitted by pre_filter_area=1 gets a decision without a p-value.
+        rng = np.random.default_rng(104)
+        scene = SyntheticSceneSpec(
+            frame=(64, 64),
+            organ_blobs=(Blob(32, 32, 10, 0.9),),
+            lesion_blobs=(Blob(32, 32, 5, 0.9),),
+            noise_floor=0.05,
+        )
+        tumor = render_synthetic(scene, "tumor").values.copy()
+        tumor[5, 5] = 0.9
+        backend = FileBackend({("img", "organ"): render_synthetic(scene, "organ"),
+                               ("img", "tumor"): ScalarGrid(tumor)})
+        intensity = ScalarGrid(rng.normal(0.4, 0.05, size=(64, 64)))
+        plan = AnatomyPlan(anchors=("organ",), tumor_prompt="tumor")
+        cfg = GateConfig().override(pre_filter_area=1)
+        result = process_case("img", intensity, plan, backend, cfg)
+        cands = {c["area"]: c for c in result.report["candidates"]}
+        assert cands[1]["decision"] == "rejected:untestable"
+        assert "p_value" not in cands[1]
+        tested = [c for c in cands.values() if c["area"] > 1]
+        assert tested and all("p_value" in c for c in tested)
 
 
 def strip_timing(report: dict) -> dict:
