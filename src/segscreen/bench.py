@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .gating import GateConfig
+from .gating import GateConfig, json_fields
 from .geometry import AnatomyPlan
 from .grid import BinaryMask, ScalarGrid
 from .metrics import SliceOutcome, slice_sensitivity_specificity
@@ -82,13 +82,10 @@ class BenchSpec:
         bad = set(data) - valid
         if bad:
             raise ValueError(f"{source}: unknown bench spec fields {sorted(bad)}")
-        coerced = dict(data)
-        for key in ("frame", "spacing", "clutter_radius", "clutter_peak"):
-            if key in coerced:
-                coerced[key] = tuple(coerced[key])
+        typed = json_fields(cls, data, source)
         try:
-            return cls(**coerced)
-        except (TypeError, ValueError) as err:
+            return cls(**typed)
+        except ValueError as err:
             raise ValueError(f"{source}: {err}") from err
 
     @classmethod

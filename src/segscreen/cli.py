@@ -109,11 +109,12 @@ def _cmd_stats_test(args: argparse.Namespace) -> int:
     outcome = two_sample_test(x, y, cfg)
     record = {
         "statistic": outcome.statistic_observed,
-        "sigma": outcome.bandwidth_sigma,
         "p_value": outcome.p_value,
         "kind": cfg.statistic,
         "permutations": cfg.permutations,
     }
+    if outcome.bandwidth_sigma is not None:
+        record["sigma"] = outcome.bandwidth_sigma
     print(json.dumps(_jsonable(record), sort_keys=True, indent=2))
     return 0
 
@@ -149,6 +150,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     lines = [f"image: {report.get('image_id', '?')}"]
     if "error" in report:
         lines.append(f"  FAILED: {report['error']}")
+    for warning in report.get("warnings", []):
+        lines.append(f"  warning: {warning}")
     for roi in report.get("rois", []):
         lines.append(f"  roi scale {roi['scale']}: box {tuple(roi['box'])}")
     l1 = report.get("l1")
@@ -165,7 +168,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                      f"mean_prob {cand['mean_prob']:.3f}, "
                      f"overlap {cand['overlap_with_control']:.3f} -> {cand['decision']}")
         if "p_value" in cand:
-            lines.append(f"    statistic {cand['statistic']:.6g}, sigma {cand['sigma']:.6g}, "
+            sigma = f"sigma {cand['sigma']:.6g}, " if "sigma" in cand else ""
+            lines.append(f"    statistic {cand['statistic']:.6g}, {sigma}"
                          f"p {cand['p_value']:.4g}, bh_kept {cand['bh_kept']}")
     l3 = report.get("l3")
     if l3:
@@ -173,6 +177,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         lines.append(f"  L3 case gate: {'pass' if l3['passed'] else 'FAIL'} "
                      f"(s_star {check['observed']:.4g} vs {check['threshold']:.4g})")
     lines.append(f"  final: {'positive' if report.get('final_positive') else 'negative (empty mask)'}")
+    timing = report.get("timing")
+    if timing:
+        lines.append("  timing: " + ", ".join(f"{stage} {sec * 1e3:.1f} ms"
+                                              for stage, sec in timing.items()))
     print("\n".join(lines))
     return 0
 

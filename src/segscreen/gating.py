@@ -27,6 +27,34 @@ from .grid import BinaryMask, ScalarGrid, positive_ratio
 from .stats import TestConfig, ks_two_sample
 
 
+def _has_type(value, typ: type) -> bool:
+    if isinstance(value, bool) and typ is not bool:
+        return False  # JSON true/false is never a number
+    return isinstance(value, (int, float) if typ is float else typ)
+
+
+def json_fields(params_cls, entries: dict, source: str, section: str | None = None) -> dict:
+    """JSON ``entries`` converted to the types of ``params_cls``'s field
+    defaults: an int stands for a float, a bool is never a number, and a
+    tuple field takes a list of its default's element type. An error
+    names the source and the key."""
+    out = {}
+    for key, value in entries.items():
+        default = params_cls.__dataclass_fields__[key].default
+        name = f"{section}.{key}" if section else key
+        if isinstance(default, tuple):
+            typ = type(default[0])
+            if not isinstance(value, (list, tuple)) or not all(_has_type(v, typ) for v in value):
+                raise ValueError(f"{source}: {name} must be a list of {typ.__name__}, got {value!r}")
+            out[key] = tuple(typ(v) for v in value)
+        else:
+            typ = type(default)
+            if not _has_type(value, typ):
+                raise ValueError(f"{source}: {name} must be {typ.__name__}, got {value!r}")
+            out[key] = typ(value)
+    return out
+
+
 @dataclass(frozen=True)
 class ScoringParams:
     tau_bin: float = 0.4
@@ -44,8 +72,8 @@ class StatisticalParams:
 
     def test_config(self, seed: int = 0) -> TestConfig:
         """Settings of one candidate test; building it applies TestConfig's rules."""
-        return TestConfig(permutations=self.permutations, alpha=self.alpha,
-                          sample_cap=self.sample_cap, statistic=self.statistic, seed=seed)
+        return TestConfig(permutations=self.permutations, sample_cap=self.sample_cap,
+                          statistic=self.statistic, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -78,18 +106,15 @@ class GateConfig:
         check_view_rule(s.view_rule)
         check_scales(s.scales)
         st.test_config()
+        if not (0.0 < st.alpha < 1.0):
+            raise ValueError(f"alpha must lie in (0, 1), got {st.alpha}")
         if not (0.0 < st.tau_ks <= 1.0):
             raise ValueError(f"tau_ks must lie in (0, 1], got {st.tau_ks}")
-        if not (0.0 <= g.tau_max <= 1.0):
-            raise ValueError(f"tau_max must lie in [0, 1], got {g.tau_max}")
-        if not (0.0 <= g.tau_ratio <= 1.0):
-            raise ValueError(f"tau_ratio must lie in [0, 1], got {g.tau_ratio}")
+        for name in ("tau_max", "tau_ratio", "tau_mean", "tau_intersect"):
+            if not (0.0 <= getattr(g, name) <= 1.0):
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(g, name)}")
         if g.a_min < 0 or g.pre_filter_area < 0:
             raise ValueError("area thresholds must be >= 0")
-        if not (0.0 <= g.tau_mean <= 1.0):
-            raise ValueError(f"tau_mean must lie in [0, 1], got {g.tau_mean}")
-        if not (0.0 <= g.tau_intersect <= 1.0):
-            raise ValueError(f"tau_intersect must lie in [0, 1], got {g.tau_intersect}")
         if g.tau_case < 0:
             raise ValueError(f"tau_case must be >= 0, got {g.tau_case}")
         check_padding_mm((g.padding_mm,))
@@ -118,9 +143,7 @@ class GateConfig:
             bad = set(entries) - valid
             if bad:
                 raise ValueError(f"{source}: unknown keys {sorted(bad)} in section {section!r}")
-            if "scales" in entries:
-                entries = dict(entries, scales=tuple(entries["scales"]))
-            kwargs[section] = params_cls(**entries)
+            kwargs[section] = params_cls(**json_fields(params_cls, entries, source, section))
         try:
             return cls(**kwargs)
         except ValueError as err:

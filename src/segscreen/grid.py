@@ -73,9 +73,6 @@ class ScalarGrid:
             raise ValueError(f"crop window ({x0},{y0},{x1},{y1}) outside {self.width}x{self.height} frame")
         return ScalarGrid(self.values[y0:y1, x0:x1], self.spacing)
 
-    def same_shape(self, other: "ScalarGrid | BinaryMask") -> bool:
-        return self.width == other.width and self.height == other.height
-
 
 @dataclass(frozen=True, eq=False)
 class BinaryMask:

@@ -154,7 +154,8 @@ def _candidate_record(c: CandidateRegion, outcome: TestOutcome | None, l2: GateV
     }
     if outcome is not None:
         rec["statistic"] = outcome.statistic_observed
-        rec["sigma"] = outcome.bandwidth_sigma
+        if outcome.bandwidth_sigma is not None:
+            rec["sigma"] = outcome.bandwidth_sigma
         rec["p_value"] = outcome.p_value
         rec["bh_kept"] = outcome.bh_kept
     if l2 is not None:
@@ -232,7 +233,12 @@ def process_case(
             cand_feat = feat[c.pixels[:, 1], c.pixels[:, 0]]
             cfg_c = cfg.statistical.test_config(seed=derive_seed(base_seed, image_id, c.id))
             outcomes[c.id] = two_sample_test(cand_feat, control_feat, cfg_c)
-        kept_flags = bh_fdr([outcomes[c.id].p_value for c in tested], cfg.statistical.alpha)
+        alpha, floor = cfg.statistical.alpha, 1.0 / (cfg.statistical.permutations + 1)
+        if tested and floor > alpha / len(tested):  # BH's rank-1 threshold alpha/K
+            warnings.append(f"BH resolution floor: the smallest p-value 1/(B+1) = {floor:.4g} "
+                            f"exceeds alpha/K at {len(tested)} tested candidates, so a lone "
+                            f"candidate cannot be kept")
+        kept_flags = bh_fdr([outcomes[c.id].p_value for c in tested], alpha)
         for c, kept in zip(tested, kept_flags):
             outcomes[c.id].bh_kept = bool(kept)
         screened = [c for c, kept in zip(tested, kept_flags) if kept]

@@ -63,9 +63,6 @@ class FileBackend:
                 raise ValueError(f"stored map for {key} has values outside [0, 1]")
         self._maps = dict(maps)
 
-    def known_keys(self) -> list[tuple[str, str]]:
-        return sorted(self._maps)
-
     def segment(self, request: SegmentorRequest) -> ScalarGrid:
         key = (request.image_id, request.prompt)
         if key not in self._maps:

@@ -2,14 +2,16 @@
 
 These deliberately mirror none of the library's code paths: flood fill
 instead of labeling, explicit rule evaluation instead of vectorized
-sorting, direct definition sums instead of block-sum shortcuts, one
-statistic evaluation per permutation instead of a pooled matrix, and
-zero-padded full-frame canvases instead of max-pasting crops.
+sorting, direct definition sums and pair-by-pair distance lists instead
+of a pooled matrix and block-sum shortcuts, one statistic evaluation
+per permutation, and zero-padded full-frame canvases instead of
+max-pasting crops.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 
@@ -58,14 +60,21 @@ def bh_keep_bruteforce(p_values, alpha: float) -> list[bool]:
     return kept
 
 
-def mmd2_by_definition(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
+def median_distance_by_definition(points) -> float:
+    """Median of |x_i - x_j| over the pairs i < j, listed one by one;
+    1.0 when that median is 0."""
+    x = [float(v) for v in points]
+    med = statistics.median(abs(x[i] - x[j]) for i in range(len(x)) for j in range(i + 1, len(x)))
+    return med if med > 0.0 else 1.0
+
+
+def mmd2_by_definition(x, y, sigma: float) -> float:
     """Literal double loops over the U-statistic definition."""
-    x = np.asarray(x, dtype=float).reshape(len(x), -1)
-    y = np.asarray(y, dtype=float).reshape(len(y), -1)
+    x, y = [float(v) for v in x], [float(v) for v in y]
     m, n = len(x), len(y)
 
     def k(u, v):
-        return math.exp(-float(np.sum((u - v) ** 2)) / (2.0 * sigma * sigma))
+        return math.exp(-((u - v) ** 2) / (2.0 * sigma * sigma))
 
     t1 = sum(k(x[i], x[j]) for i in range(m) for j in range(m) if i != j) / (m * (m - 1))
     t2 = sum(k(y[i], y[j]) for i in range(n) for j in range(n) if i != j) / (n * (n - 1))
@@ -73,14 +82,13 @@ def mmd2_by_definition(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
     return t1 + t2 - t3
 
 
-def energy_by_definition(x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float).reshape(len(x), -1)
-    y = np.asarray(y, dtype=float).reshape(len(y), -1)
+def energy_by_definition(x, y) -> float:
+    x, y = [float(v) for v in x], [float(v) for v in y]
     m, n = len(x), len(y)
-    dxy = sum(float(np.linalg.norm(x[i] - y[j])) for i in range(m) for j in range(n)) / (m * n)
-    dxx = (sum(float(np.linalg.norm(x[i] - x[j])) for i in range(m) for j in range(m) if i != j)
+    dxy = sum(abs(x[i] - y[j]) for i in range(m) for j in range(n)) / (m * n)
+    dxx = (sum(abs(x[i] - x[j]) for i in range(m) for j in range(m) if i != j)
            / (m * (m - 1))) if m > 1 else 0.0
-    dyy = (sum(float(np.linalg.norm(y[i] - y[j])) for i in range(n) for j in range(n) if i != j)
+    dyy = (sum(abs(y[i] - y[j]) for i in range(n) for j in range(n) if i != j)
            / (n * (n - 1))) if n > 1 else 0.0
     return 2.0 * dxy - dxx - dyy
 
@@ -98,27 +106,26 @@ def ecdf_distance(x, y) -> float:
 
 
 def permutation_test(x, y, statistic_fn, permutations: int = 199, seed=0) -> float:
-    """Permutation p-value for any two-sample statistic.
+    """Permutation p-value for any two-sample statistic of 1-D samples.
 
     Pools the samples, reshuffles into the original sizes B times and
     counts permuted statistics >= the observed one; returns the smoothed
     estimate (count + 1) / (B + 1). The statistic callable must close
     over any bandwidth so it is not re-estimated per permutation. The
-    pool is put in lexicographic row order first, as the library does,
-    so that both draw the same partitions from the same seed.
+    pooled values are sorted first, as the library orders them, so that
+    both draw the same partitions from the same seed.
     """
     if permutations < 1:
         raise ValueError(f"need at least 1 permutation, got {permutations}")
-    xa = np.asarray(x, dtype=float).reshape(len(x), -1)
-    ya = np.asarray(y, dtype=float).reshape(len(y), -1)
-    m = xa.shape[0]
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    m = xa.size
     observed = float(statistic_fn(xa, ya))
-    pooled = np.vstack([xa, ya])
-    pooled = pooled[np.lexsort(pooled.T[::-1])]
+    pooled = np.sort(np.concatenate([xa, ya]))
     rng = np.random.default_rng(seed)
     count = 0
     for _ in range(permutations):
-        perm = rng.permutation(pooled.shape[0])
+        perm = rng.permutation(pooled.size)
         if float(statistic_fn(pooled[perm[:m]], pooled[perm[m:]])) >= observed:
             count += 1
     return (count + 1) / (permutations + 1)

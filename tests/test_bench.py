@@ -19,6 +19,15 @@ class TestBenchSpec:
         with pytest.raises(ValueError, match="unknown bench spec"):
             BenchSpec.from_dict({"n_case": 10})
 
+    @pytest.mark.parametrize("data,key", [
+        ({"n_cases": 2.5}, "n_cases"),
+        ({"seed": True}, "seed"),
+        ({"frame": [96.0, 96.0]}, "frame"),
+    ])
+    def test_from_dict_rejects_wrong_json_types(self, data, key):
+        with pytest.raises(ValueError, match=rf"^spec\.json: {key} must be"):
+            BenchSpec.from_dict(data, source="spec.json")
+
     def test_from_file_invalid_json(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text("{")

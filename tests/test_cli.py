@@ -23,6 +23,7 @@ class TestStatsTestCommand:
         assert rc == 0
         record = json.loads(capsys.readouterr().out)
         assert record["p_value"] == 1.0
+        assert record["sigma"] > 0
 
     def test_shifted_columns_hit_smoothed_minimum(self, tmp_path, capsys):
         rng = np.random.default_rng(111)
@@ -43,7 +44,9 @@ class TestStatsTestCommand:
         write_column(fy, rng.normal(size=30))
         rc = main(["stats-test", str(fx), str(fy), "--statistic", "energy", "--seed", "2"])
         assert rc == 0
-        assert json.loads(capsys.readouterr().out)["kind"] == "energy"
+        record = json.loads(capsys.readouterr().out)
+        assert record["kind"] == "energy"
+        assert "sigma" not in record
 
     def test_malformed_line_cites_location(self, tmp_path):
         fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
@@ -102,6 +105,23 @@ class TestRunCommand:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("config,key", [
+        ({"statistical": {"permutations": 19.5}}, "statistical.permutations"),
+        ({"geometric": {"a_min": True}}, "geometric.a_min"),
+        ({"scoring": {"tau_bin": "0.4"}}, "scoring.tau_bin"),
+    ])
+    def test_config_file_value_types_exit_2(self, tmp_path, capsys, command, config, key):
+        manifest = write_dataset(tmp_path, n_cases=1, seed=5)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        args = {"run": ["run", "--manifest", str(manifest), "--out", str(tmp_path / "o")],
+                "bench": ["bench"]}[command]
+        rc = main(args + ["--config", str(cfg_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: {key} must be")
+        assert not (tmp_path / "o").exists()
+
     def test_env_var_seed(self, tmp_path, capsys, monkeypatch):
         manifest = write_dataset(tmp_path, n_cases=1, seed=5)
         monkeypatch.setenv("SEGSCREEN_SEED", "42")
@@ -154,6 +174,13 @@ class TestBenchCommand:
         assert rc == 2
         assert "fraction_positive" in capsys.readouterr().err
 
+    def test_bench_spec_value_type_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "bench.json"
+        spec_path.write_text(json.dumps({"n_cases": 2.5}))
+        rc = main(["bench", "--spec", str(spec_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {spec_path}: n_cases must be int")
+
     def test_bench_dump_dir_writes_sgrids(self, tmp_path, capsys):
         spec_path = tmp_path / "bench.json"
         spec_path.write_text(json.dumps({"n_cases": 1, "seed": 19}))
@@ -177,6 +204,21 @@ class TestInspectCommand:
         assert "image: case0000" in text
         assert "L1 existence gate" in text
         assert "final:" in text
+        report = json.loads((out_dir / "reports" / "case0000.json").read_text())
+        timing = next(line for line in text.splitlines() if line.startswith("  timing: "))
+        assert all(f"{stage} " in timing for stage in report["timing"])
+        assert "sigma" in text and "warning" not in text
+
+        # Energy candidates carry no sigma; 19 permutations over the two
+        # tested candidates set off the BH resolution floor warning.
+        main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "energy"),
+              "--statistic", "energy", "--permutations", "19"])
+        capsys.readouterr()
+        rc = main(["inspect", str(tmp_path / "energy" / "reports" / "case0000.json")])
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert "warning: BH resolution floor" in text
+        assert "statistic " in text and "sigma" not in text
 
     def test_inspect_missing_file(self, tmp_path, capsys):
         rc = main(["inspect", str(tmp_path / "none.json")])

@@ -92,6 +92,24 @@ class TestGateConfig:
         with pytest.raises(ValueError, match="unknown keys"):
             GateConfig.from_dict({"scoring": {"tau_bun": 0.4}})
 
+    @pytest.mark.parametrize("data,key", [
+        ({"statistical": {"permutations": 19.5}}, "statistical.permutations"),
+        ({"geometric": {"a_min": True}}, "geometric.a_min"),
+        ({"scoring": {"tau_bin": "0.4"}}, "scoring.tau_bin"),
+        ({"scoring": {"scales": [1.0, "1.2"]}}, "scoring.scales"),
+        ({"geometric": {"tau_case": False}}, "geometric.tau_case"),
+    ])
+    def test_from_dict_rejects_wrong_json_types(self, data, key):
+        with pytest.raises(ValueError, match=rf"^cfg\.json: {key} must be"):
+            GateConfig.from_dict(data, source="cfg.json")
+
+    def test_from_dict_takes_ints_for_floats_and_lists_for_tuples(self):
+        cfg = GateConfig.from_dict({"geometric": {"tau_case": 2, "padding_mm": 20},
+                                    "scoring": {"scales": [1, 1.5]}})
+        assert cfg.geometric.tau_case == 2.0 and isinstance(cfg.geometric.tau_case, float)
+        assert cfg.geometric.padding_mm == 20.0
+        assert cfg.scoring.scales == (1.0, 1.5)
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"geometric": {"tau_case": 1.5}}))

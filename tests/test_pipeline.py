@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from segscreen.bench import BenchSpec, make_case
 from segscreen.gating import GateConfig
 from segscreen.grid import ScalarGrid
 from segscreen.pipeline import load_manifest, minmax_normalize, process_case, run_manifest
 from segscreen.segmentor import Blob, FileBackend, SyntheticBackend, SyntheticSceneSpec, render_synthetic
 from segscreen.geometry import AnatomyPlan
+from segscreen.stats import bh_fdr
 
 from conftest import write_dataset
 
@@ -162,6 +164,28 @@ class TestProcessCase:
         assert "p_value" not in cands[1]
         tested = [c for c in cands.values() if c["area"] > 1]
         assert tested and all("p_value" in c for c in tested)
+
+    def test_bh_resolution_floor_warning(self):
+        # With B = 19 the smallest p-value 1/20 exceeds alpha/K = 0.025 at
+        # K = 2 tested candidates; B = 199 gives 1/200, within 0.05/K
+        # for K <= 10. The warning changes no decision.
+        spec = BenchSpec(n_cases=1, seed=3)
+        case = make_case(spec, 0)
+        plan = AnatomyPlan(anchors=("organ",), tumor_prompt="tumor", padding_mm=(25.0, 25.0),
+                           square=True)
+        reports = {}
+        for permutations in (19, 199):
+            cfg = GateConfig().override(permutations=permutations)
+            backend = SyntheticBackend({case.image_id: case.scene})
+            reports[permutations] = process_case(case.image_id, case.intensity, plan, backend,
+                                                 cfg).report
+        tested = [c for c in reports[19]["candidates"] if "p_value" in c]
+        assert len(tested) >= 2
+        floor = [w for w in reports[19]["warnings"] if w.startswith("BH resolution floor")]
+        assert len(floor) == 1 and f"at {len(tested)} tested candidates" in floor[0]
+        assert not bh_fdr([1 / 20] + [1.0] * (len(tested) - 1), 0.05).any()
+        assert reports[199]["warnings"] == []
+        assert bh_fdr([1 / 200] + [1.0] * (len(tested) - 1), 0.05).any()
 
 
 def strip_timing(report: dict) -> dict:

@@ -21,6 +21,7 @@ from oracles import (
     bh_keep_bruteforce,
     ecdf_distance,
     energy_by_definition,
+    median_distance_by_definition,
     mmd2_by_definition,
     permutation_test,
 )
@@ -48,9 +49,18 @@ class TestMedianHeuristic:
             data, max_points=500, seed=1
         )
 
-    def test_vector_features(self):
-        pts = np.array([[0.0, 0.0], [3.0, 4.0]])
-        assert median_heuristic(pts) == 5.0
+    def test_equals_median_by_definition_exactly(self):
+        rng = np.random.default_rng(49)
+        for _ in range(50):
+            data = rng.uniform(0.0, 1.0, size=int(rng.integers(2, 120)))
+            assert median_heuristic(data) == median_distance_by_definition(data)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 2, 2)])
+    def test_rejects_samples_that_are_not_1d(self, shape):
+        with pytest.raises(ValueError, match="1-D"):
+            median_heuristic(np.zeros(shape))
+        with pytest.raises(ValueError, match="1-D"):
+            two_sample_test(np.zeros(shape), np.zeros(shape))
 
 
 class TestMmd2Unbiased:
@@ -75,7 +85,7 @@ class TestMmd2Unbiased:
     def test_mean_near_zero_under_null(self):
         rng = np.random.default_rng(52)
         vals = []
-        for _ in range(100)            :
+        for _ in range(100):
             x = rng.normal(size=60)
             y = rng.normal(size=60)
             sigma = median_heuristic(np.concatenate([x, y]))
@@ -166,7 +176,7 @@ class TestTwoSampleTest:
         x = rng.normal(size=50)
         y = rng.normal(1.0, 1.0, size=60)
         out = two_sample_test(x, y, TestConfig(seed=4))
-        direct = mmd2_unbiased(x, y, out.bandwidth_sigma)
+        direct = mmd2_by_definition(x, y, out.bandwidth_sigma)
         assert out.statistic_observed == pytest.approx(direct, abs=1e-10)
 
     def test_energy_fast_path_matches_direct(self):
@@ -174,7 +184,8 @@ class TestTwoSampleTest:
         x = rng.normal(size=30)
         y = rng.normal(size=45)
         out = two_sample_test(x, y, TestConfig(seed=5, statistic="energy"))
-        assert out.statistic_observed == pytest.approx(energy_distance(x, y), abs=1e-10)
+        assert out.statistic_observed == pytest.approx(energy_by_definition(x, y), abs=1e-10)
+        assert out.bandwidth_sigma is None  # energy has no kernel bandwidth
 
     def test_null_p_roughly_uniform(self):
         rng = np.random.default_rng(61)
@@ -213,8 +224,6 @@ class TestTwoSampleTest:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TestConfig(permutations=5)
-        with pytest.raises(ValueError):
-            TestConfig(alpha=0.0)
         with pytest.raises(ValueError):
             TestConfig(statistic="hotelling")
 
@@ -289,6 +298,13 @@ class TestKsTwoSample:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_two_sample([], [1.0])
+
+    def test_tiny_distance_is_no_evidence(self):
+        # sqrt(n_eff) * D is about 5e-4 here, where P(K > lambda) is 1 to
+        # double precision: one stray background pixel is no evidence.
+        control = np.full(200, 0.05)
+        background = np.append(np.full(30000, 0.05), 0.9)
+        assert ks_two_sample(control, background) > 0.99
 
     def test_p_clamped_to_unit_interval(self):
         rng = np.random.default_rng(66)
