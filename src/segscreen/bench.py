@@ -73,6 +73,14 @@ class BenchSpec:
             raise ValueError(f"clutter_rate must be >= 0, got {self.clutter_rate}")
         if self.lesion_area_px <= 0 or self.organ_radius < 1:
             raise ValueError("lesion area and organ radius must be positive")
+        if len(self.frame) != 2 or not all(isinstance(v, int) and v > 0 for v in self.frame):
+            raise ValueError(f"frame must be two positive ints, got {list(self.frame)}")
+        if len(self.spacing) != 2 or not all(math.isfinite(v) and v > 0 for v in self.spacing):
+            raise ValueError(f"spacing must be two finite positive floats, got {list(self.spacing)}")
+        for name in ("clutter_radius", "clutter_peak"):
+            pair = getattr(self, name)
+            if len(pair) != 2 or pair[0] > pair[1]:
+                raise ValueError(f"{name} must be an ordered pair [low, high], got {list(pair)}")
 
     @classmethod
     def from_dict(cls, data: dict, source: str = "<bench spec>") -> "BenchSpec":

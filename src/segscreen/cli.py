@@ -17,7 +17,7 @@ import numpy as np
 
 from .bench import BenchSpec, run_bench
 from .gating import GateConfig, GeometricParams, ScoringParams, StatisticalParams
-from .pipeline import _jsonable, load_manifest, run_manifest
+from .pipeline import TIMING_STAGES, _jsonable, load_manifest, run_manifest
 from .stats import TestConfig, two_sample_test
 
 SEED_ENV_VAR = "SEGSCREEN_SEED"
@@ -179,8 +179,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     lines.append(f"  final: {'positive' if report.get('final_positive') else 'negative (empty mask)'}")
     timing = report.get("timing")
     if timing:
-        lines.append("  timing: " + ", ".join(f"{stage} {sec * 1e3:.1f} ms"
-                                              for stage, sec in timing.items()))
+        # Pipeline order, not the file's sorted key order.
+        lines.append("  timing: " + ", ".join(f"{s} {timing[s] * 1e3:.1f} ms"
+                                              for s in TIMING_STAGES if s in timing))
     print("\n".join(lines))
     return 0
 

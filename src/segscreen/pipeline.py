@@ -31,6 +31,9 @@ from .segmentor import SegmentorRequest
 from .sgrid import read_mask, read_sgrid
 from .stats import MIN_SAMPLE_SIZE, TestOutcome, bh_fdr, derive_seed, two_sample_test
 
+# The stages process_case times into report["timing"], in pipeline order.
+TIMING_STAGES = ("rois", "fusion", "l1", "candidates", "screen", "gates")
+
 
 @dataclass
 class ManifestEntry:

@@ -3,12 +3,21 @@ p-values, Benjamini-Hochberg FDR control and Kolmogorov-Smirnov testing.
 
 Samples are 1-D numpy arrays of scalar features; the pipeline's feature
 is min-max normalized intensity, one value per pixel. Every statistic
-is built from the pairwise distances |x_i - x_j|. The MMD^2 kernel
-bandwidth is estimated once from the observed pooled sample via the
-median heuristic and held fixed across permutations, which preserves
-exchangeability under the null; the energy statistic has no bandwidth.
-Smoothed counting (count + 1) / (B + 1) keeps every p-value strictly
-positive.
+is built from the pairwise distances |x_i - x_j|, and none holds the
+(m + n)^2 pooled matrix: memory is O((m + n) + block), time per
+permutation O(m^2) for MMD^2 and O(m log m + n) for energy.
+
+- The MMD^2 kernel bandwidth is the exact median pairwise distance of
+  the observed pool, selected from the sorted pool in O(N log N)
+  (Croux & Rousseeuw 1992), and held fixed across permutations, which
+  preserves exchangeability under the null.
+- The Gaussian kernel is computed on the fly in row blocks.
+- The energy statistic's distance sums come from sorted prefix sums
+  (Huo & Szekely 2016); it has no bandwidth.
+
+A permuted statistic that reaches the observed one up to a rounding
+tolerance (TIE_TOLERANCE) counts as a tie. Smoothed counting
+(count + 1) / (B + 1) keeps every p-value strictly positive.
 """
 
 from __future__ import annotations
@@ -20,6 +29,17 @@ import numpy as np
 from scipy.special import kolmogorov
 
 MEDIAN_HEURISTIC_MAX_POINTS = 2000
+# Most float64 values in one on-the-fly block of the Gaussian kernel (8 MiB).
+KERNEL_BLOCK_ELEMENTS = 1 << 20
+# A permuted statistic ties the observed one when it falls short of it by
+# at most TIE_TOLERANCE * max(|observed|, total / n^2), with ``total`` the
+# sum of the pooled matrix and n the second set's size. The first term is
+# scipy's rule (stats/_resampling.py). The second keeps ties when the
+# statistic cancels to near zero: both statistics are differences of block
+# means, and s_bb = total - s_aa - 2 s_ab carries the rounding of the total,
+# so equal statistics reached through different splits or summation orders
+# differ by a few eps * total / n^2.
+TIE_TOLERANCE = 100 * np.finfo(np.float64).eps
 STATISTIC_KINDS = ("mmd2", "energy")
 # Fewest points per set each statistic is defined for: the unbiased MMD^2
 # excludes the diagonal, so it needs a pair within each set.
@@ -57,52 +77,157 @@ def subsample(points, cap: int, seed) -> np.ndarray:
     return arr[np.random.default_rng(seed).choice(arr.size, size=cap, replace=False)]
 
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = a[:, None] - b[None, :]
-    return np.abs(d, out=d)
+def _row_bounds(xs: np.ndarray, value: float, strict: bool) -> np.ndarray:
+    # Row i of a sorted pool holds the differences xs[j] - xs[i], j > i.
+    # For each row, the first column j at which the difference is no longer
+    # < value (strict) or <= value, so the row holds j - i - 1 of them.
+    # searchsorted on xs[i] + value finds it up to the rounding of that sum;
+    # the loops settle it on the subtraction itself, stepping over whole
+    # runs of tied values.
+    rows = np.arange(xs.size)
+    within = np.less if strict else np.less_equal
+    cols = np.maximum(np.searchsorted(xs, xs + value, side="left" if strict else "right"), rows + 1)
+    while True:
+        i = np.flatnonzero(cols < xs.size)
+        i = i[within(xs[cols[i]] - xs[i], value)]
+        if not i.size:
+            break
+        cols[i] = np.searchsorted(xs, xs[cols[i]], side="right")
+    while True:
+        i = np.flatnonzero(cols > rows + 1)
+        i = i[~within(xs[cols[i] - 1] - xs[i], value)]
+        if not i.size:
+            break
+        cols[i] = np.maximum(np.searchsorted(xs, xs[cols[i] - 1], side="left"), i + 1)
+    return cols
+
+
+def _kth_difference(xs: np.ndarray, k: int) -> float:
+    # The k-th smallest (from 0) difference xs[j] - xs[i], i < j, of a
+    # sorted sample, by selection over the rows (Croux & Rousseeuw 1992).
+    # Row i keeps candidate columns [lo_i, hi_i): every difference left of
+    # them is below the answer, every one right of them above it. Each
+    # round pivots on the weighted median of the candidates' row midpoints,
+    # which drops at least a quarter of them; a few left are selected
+    # directly.
+    n = xs.size
+    rows = np.arange(n)
+    lo, hi = rows + 1, np.full(n, n)
+    while True:
+        width = hi - lo
+        left = int((lo - rows - 1).sum())
+        if width.sum() <= n:
+            cols = np.arange(width.sum()) + np.repeat(lo - (np.cumsum(width) - width), width)
+            candidates = xs[cols] - xs[np.repeat(rows, width)]
+            return float(np.partition(candidates, k - left)[k - left])
+        live = np.flatnonzero(width)
+        mids = xs[lo[live] + (width[live] - 1) // 2] - xs[live]
+        order = np.argsort(mids)
+        weight = np.cumsum(width[live][order])
+        pivot = mids[order[np.searchsorted(weight, weight[-1] / 2)]]
+        below = _row_bounds(xs, pivot, strict=True)
+        if k < int((below - rows - 1).sum()):
+            hi = below
+            continue
+        upto = _row_bounds(xs, pivot, strict=False)
+        if k < int((upto - rows - 1).sum()):
+            return float(pivot)
+        lo = upto
 
 
 def median_heuristic(pooled, max_points: int = MEDIAN_HEURISTIC_MAX_POINTS, seed=0) -> float:
     """Median of pairwise distances |x_i - x_j|, i < j, over the pooled sample.
 
-    Large pools are uniformly subsampled to bound the quadratic distance
-    computation. Constant data (zero median) falls back to sigma = 1 so
-    the kernel degenerates to a constant and the test never rejects.
+    Selected exactly from the sorted pool in O(N log N) time and O(N)
+    memory, without listing the N(N - 1)/2 distances; an even count
+    averages the two middle ones, as np.median does. Pools above
+    ``max_points`` are first uniformly subsampled with ``seed``. Constant
+    data (zero median) falls back to sigma = 1 so the kernel degenerates
+    to a constant and the test never rejects.
     """
     arr = as_sample(pooled)
     if arr.size < 2:
         raise ValueError("median heuristic needs at least 2 points")
     if arr.size > max_points:
         arr = subsample(arr, max_points, seed)
-    med = float(np.median(_distances(arr, arr)[np.triu_indices(arr.size, k=1)]))
+    xs = np.sort(arr)
+    pairs = xs.size * (xs.size - 1) // 2
+    med = _kth_difference(xs, (pairs - 1) // 2)
+    if pairs % 2 == 0:
+        # The next order statistic is med itself when more than pairs // 2
+        # differences are <= med, else the smallest difference above med:
+        # the first column past med in some row.
+        upto = _row_bounds(xs, med, strict=False)
+        nxt = med
+        if int((upto - np.arange(xs.size) - 1).sum()) <= pairs // 2:
+            rows = np.flatnonzero(upto < xs.size)
+            nxt = float((xs[upto[rows]] - xs[rows]).min())
+        med = (med + nxt) / 2
     return med if med > 0.0 else 1.0
 
 
-# -- Pooled-matrix statistics ------------------------------------------------
+# -- Pooled-matrix statistics without the matrix -----------------------------
 #
 # Both MMD^2 and the energy statistic are functions of one pooled pairwise
-# matrix (kernel values, respectively distances), so a split of the pool
-# into the two sets only re-partitions its rows/columns. Block sums via
-# precomputed row sums make each split O(m^2 + n) instead of O((m + n)^2).
+# matrix (kernel values, respectively distances). A split of the pool into
+# the two sets only re-partitions its rows and columns, so the split's block
+# sums follow from three numbers: the within-set sum s_aa of the first set,
+# the sum of its rows, and the matrix total. None of them needs the
+# (m + n)^2 matrix. The row sums come once per test: Gaussian kernel rows
+# computed on the fly in blocks of at most KERNEL_BLOCK_ELEMENTS values, and
+# distance rows in closed form over the sorted pool (Huo & Szekely 2016).
+# s_aa comes per split from the first set alone: its m x m kernel, in blocks
+# above the same budget, or the prefix-sum identity over its sorted values.
+
+
+def _gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
+    # exp(-|a_i - b_j|^2 / (2 sigma^2)), built in place. Squaring needs no
+    # abs() first: d * d and |d| * |d| are the same double.
+    k = a[:, None] - b[None, :]
+    np.multiply(k, k, out=k)
+    np.divide(k, -2.0 * sigma * sigma, out=k)
+    return np.exp(k, out=k)
+
+
+def _kernel_blocks(a: np.ndarray, b: np.ndarray, sigma: float):
+    # The kernel between a and b as consecutive row blocks; one block when
+    # it fits KERNEL_BLOCK_ELEMENTS.
+    step = max(1, KERNEL_BLOCK_ELEMENTS // b.size)
+    for start in range(0, a.size, step):
+        yield _gaussian_kernel(a[start:start + step], b, sigma)
 
 
 def _pooled_matrix(kind: str, pooled: np.ndarray, sigma: float | None) -> np.ndarray:
-    matrix = _distances(pooled, pooled)
+    # Row sums of the pooled pairwise matrix, in pool order.
     if kind == "mmd2":
-        # Gaussian kernel exp(-d^2 / (2 sigma^2)), built in place.
-        np.multiply(matrix, matrix, out=matrix)
-        np.divide(matrix, -2.0 * sigma * sigma, out=matrix)
-        np.exp(matrix, out=matrix)
-    return matrix
+        return np.concatenate([block.sum(axis=1) for block in _kernel_blocks(pooled, pooled, sigma)])
+    # sum_j |v - x_j| = v (2f - N) + S - 2 S_f, where f points lie below v
+    # and S_f is their sum. Tied points share f, so their row sums are equal.
+    order = np.argsort(pooled, kind="stable")
+    xs = pooled[order]
+    below = np.searchsorted(xs, xs, side="left")
+    prefix = np.concatenate([[0.0], np.cumsum(xs)])
+    sums = np.empty_like(pooled)
+    sums[order] = xs * (2 * below - xs.size) + (prefix[-1] - 2.0 * prefix[below])
+    return sums
 
 
-def _stat_from_blocks(kind: str, matrix: np.ndarray, row_sums: np.ndarray, total: float,
-                      a_idx: np.ndarray) -> float:
-    # The statistic of the split that puts the pool's rows a_idx in the
-    # first set, from the block sums s_aa, s_ab, s_bb of the matrix.
-    m, n = a_idx.size, matrix.shape[0] - a_idx.size
-    s_aa = float(matrix[np.ix_(a_idx, a_idx)].sum())
-    s_ab = float(row_sums[a_idx].sum()) - s_aa
+def _stat_from_blocks(kind: str, xs: np.ndarray, sums: np.ndarray, total: float,
+                      sigma: float | None, ranks: np.ndarray) -> float:
+    # The statistic of the split that puts the points at ``ranks`` of the
+    # sorted pool xs in the first set; ``sums`` are the row sums of xs and
+    # ``total`` their sum.
+    m, n = ranks.size, xs.size - ranks.size
+    if kind == "mmd2":
+        a = xs[ranks]
+        s_aa = sum(float(block.sum()) for block in _kernel_blocks(a, a, sigma))
+    else:
+        # Sorting makes s_aa and s_ab functions of the first set's multiset.
+        # Its k-th smallest value exceeds k others and falls short of
+        # m - 1 - k, once per ordered pair.
+        ranks = np.sort(ranks)
+        s_aa = 2.0 * float((xs[ranks] * (2 * np.arange(m) - (m - 1))).sum())
+    s_ab = float(sums[ranks].sum()) - s_aa
     s_bb = total - s_aa - 2.0 * s_ab
     if kind == "mmd2":
         # Gaussian kernel diagonal is exactly m (resp. n) ones.
@@ -125,9 +250,10 @@ def _check_sizes(kind: str, m: int, n: int) -> None:
 def _statistic(kind: str, x, y, sigma: float | None = None) -> float:
     xa, ya = as_sample(x), as_sample(y)
     _check_sizes(kind, xa.size, ya.size)
-    matrix = _pooled_matrix(kind, np.concatenate([xa, ya]), sigma)
-    row_sums = matrix.sum(axis=1)
-    return _stat_from_blocks(kind, matrix, row_sums, float(row_sums.sum()), np.arange(xa.size))
+    pooled = np.concatenate([xa, ya])
+    # The observed statistic of a test without permutations.
+    return _fast_permutation_pvalue(kind, pooled, _pooled_matrix(kind, pooled, sigma), sigma,
+                                    xa.size, 0, None)[0]
 
 
 def mmd2_unbiased(x, y, sigma: float) -> float:
@@ -152,19 +278,27 @@ def energy_distance(x, y) -> float:
 
 def _fast_permutation_pvalue(
     kind: str,
-    matrix: np.ndarray,
+    pooled: np.ndarray,
+    row_sums: np.ndarray,
+    sigma: float | None,
     m: int,
     permutations: int,
-    rng: np.random.Generator,
-    canonical: np.ndarray,
+    rng: np.random.Generator | None,
 ) -> tuple[float, float]:
-    row_sums = matrix.sum(axis=1)
     total = float(row_sums.sum())
-    observed = _stat_from_blocks(kind, matrix, row_sums, total, np.arange(m))
+    # Shuffling the sorted pool makes the stream a function of the pooled
+    # multiset rather than the input ordering, so swapping the two samples
+    # (at equal sizes) yields the identical p-value. A shuffle's first m
+    # positions are then the ranks of the first set.
+    order = np.argsort(pooled, kind="stable")
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(order.size)
+    xs, sums = pooled[order], row_sums[order]
+    observed = _stat_from_blocks(kind, xs, sums, total, sigma, ranks[:m])
+    floor = observed - TIE_TOLERANCE * max(abs(observed), total / (xs.size - m) ** 2)
     count = 0
     for _ in range(permutations):
-        perm = canonical[rng.permutation(canonical.size)]
-        if _stat_from_blocks(kind, matrix, row_sums, total, perm[:m]) >= observed:
+        if _stat_from_blocks(kind, xs, sums, total, sigma, rng.permutation(xs.size)[:m]) >= floor:
             count += 1
     return observed, (count + 1) / (permutations + 1)
 
@@ -217,13 +351,9 @@ def two_sample_test(x, y, config: TestConfig = TestConfig()) -> TestOutcome:
     _check_sizes(config.statistic, xa.size, ya.size)
     pooled = np.concatenate([xa, ya])
     sigma = median_heuristic(pooled, seed=rng) if config.statistic == "mmd2" else None
-    matrix = _pooled_matrix(config.statistic, pooled, sigma)
-    # Sorting the pool makes the shuffle stream a function of the pooled
-    # multiset rather than the input ordering, so swapping the two samples
-    # (at equal sizes) yields the identical p-value.
-    observed, p_value = _fast_permutation_pvalue(
-        config.statistic, matrix, xa.size, config.permutations, rng, np.argsort(pooled, kind="stable")
-    )
+    row_sums = _pooled_matrix(config.statistic, pooled, sigma)
+    observed, p_value = _fast_permutation_pvalue(config.statistic, pooled, row_sums, sigma,
+                                                 xa.size, config.permutations, rng)
     return TestOutcome(statistic_observed=float(observed), p_value=float(p_value), bandwidth_sigma=sigma)
 
 

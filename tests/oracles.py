@@ -3,9 +3,9 @@
 These deliberately mirror none of the library's code paths: flood fill
 instead of labeling, explicit rule evaluation instead of vectorized
 sorting, direct definition sums and pair-by-pair distance lists instead
-of a pooled matrix and block-sum shortcuts, one statistic evaluation
-per permutation, and zero-padded full-frame canvases instead of
-max-pasting crops.
+of selection and prefix sums, one statistic evaluation per permutation,
+the full pooled matrix instead of kernels computed on the fly, and
+zero-padded full-frame canvases instead of max-pasting crops.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ import numpy as np
 from segscreen.segmentor import SegmentorRequest
 
 VIEWS = ("identity", "flip_lr", "flip_tb")
+# A permuted statistic ties the observed one when it falls short of it by
+# at most TIE_TOLERANCE * max(|observed|, scale): scipy's relative rule
+# (stats/_resampling.py) with a floor for statistics that cancel to near 0.
+TIE_TOLERANCE = 100 * np.finfo(np.float64).eps
 
 
 def flood_fill_components(bits: np.ndarray) -> list[set[tuple[int, int]]]:
@@ -69,28 +73,30 @@ def median_distance_by_definition(points) -> float:
 
 
 def mmd2_by_definition(x, y, sigma: float) -> float:
-    """Literal double loops over the U-statistic definition."""
+    """Literal double loops over the U-statistic definition, each sum
+    exactly rounded, so equal multisets give equal bits."""
     x, y = [float(v) for v in x], [float(v) for v in y]
     m, n = len(x), len(y)
 
     def k(u, v):
         return math.exp(-((u - v) ** 2) / (2.0 * sigma * sigma))
 
-    t1 = sum(k(x[i], x[j]) for i in range(m) for j in range(m) if i != j) / (m * (m - 1))
-    t2 = sum(k(y[i], y[j]) for i in range(n) for j in range(n) if i != j) / (n * (n - 1))
-    t3 = 2.0 * sum(k(x[i], y[j]) for i in range(m) for j in range(n)) / (m * n)
+    t1 = math.fsum(k(x[i], x[j]) for i in range(m) for j in range(m) if i != j) / (m * (m - 1))
+    t2 = math.fsum(k(y[i], y[j]) for i in range(n) for j in range(n) if i != j) / (n * (n - 1))
+    t3 = 2.0 * math.fsum(k(x[i], y[j]) for i in range(m) for j in range(n)) / (m * n)
     return t1 + t2 - t3
 
 
 def energy_by_definition(x, y) -> float:
+    """2 E|X-Y| - E|X-X'| - E|Y-Y'| from exactly rounded pair sums."""
     x, y = [float(v) for v in x], [float(v) for v in y]
     m, n = len(x), len(y)
-    dxy = sum(abs(x[i] - y[j]) for i in range(m) for j in range(n)) / (m * n)
-    dxx = (sum(abs(x[i] - x[j]) for i in range(m) for j in range(m) if i != j)
+    dxy = math.fsum(abs(x[i] - y[j]) for i in range(m) for j in range(n)) / (m * n)
+    dxx = (math.fsum(abs(x[i] - x[j]) for i in range(m) for j in range(m) if i != j)
            / (m * (m - 1))) if m > 1 else 0.0
-    dyy = (sum(abs(y[i] - y[j]) for i in range(n) for j in range(n) if i != j)
+    dyy = (math.fsum(abs(y[i] - y[j]) for i in range(n) for j in range(n) if i != j)
            / (n * (n - 1))) if n > 1 else 0.0
-    return 2.0 * dxy - dxx - dyy
+    return 2.0 * dxy - (dxx + dyy)
 
 
 def ecdf_distance(x, y) -> float:
@@ -105,15 +111,18 @@ def ecdf_distance(x, y) -> float:
     return best
 
 
-def permutation_test(x, y, statistic_fn, permutations: int = 199, seed=0) -> float:
+def permutation_test(x, y, statistic_fn, permutations: int = 199, seed=0,
+                     tie_scale: float = 0.0) -> float:
     """Permutation p-value for any two-sample statistic of 1-D samples.
 
     Pools the samples, reshuffles into the original sizes B times and
-    counts permuted statistics >= the observed one; returns the smoothed
-    estimate (count + 1) / (B + 1). The statistic callable must close
-    over any bandwidth so it is not re-estimated per permutation. The
-    pooled values are sorted first, as the library orders them, so that
-    both draw the same partitions from the same seed.
+    counts permuted statistics that reach the observed one up to the tie
+    tolerance, taken against ``tie_scale`` where that exceeds |observed|;
+    returns the smoothed estimate (count + 1) / (B + 1). The statistic
+    callable must close over any bandwidth so it is not re-estimated per
+    permutation. The pooled values are sorted first, as the library
+    orders them, so that both draw the same partitions from the same
+    seed.
     """
     if permutations < 1:
         raise ValueError(f"need at least 1 permutation, got {permutations}")
@@ -121,14 +130,75 @@ def permutation_test(x, y, statistic_fn, permutations: int = 199, seed=0) -> flo
     ya = np.asarray(y, dtype=float)
     m = xa.size
     observed = float(statistic_fn(xa, ya))
+    floor = observed - TIE_TOLERANCE * max(abs(observed), tie_scale)
     pooled = np.sort(np.concatenate([xa, ya]))
     rng = np.random.default_rng(seed)
     count = 0
     for _ in range(permutations):
         perm = rng.permutation(pooled.size)
-        if float(statistic_fn(pooled[perm[:m]], pooled[perm[m:]])) >= observed:
+        if float(statistic_fn(pooled[perm[:m]], pooled[perm[m:]])) >= floor:
             count += 1
     return (count + 1) / (permutations + 1)
+
+
+def _draw(arr: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
+    return arr if arr.size <= cap else arr[rng.choice(arr.size, size=cap, replace=False)]
+
+
+def dense_two_sample_test(x, y, permutations: int = 199, sample_cap: int = 4000,
+                          statistic: str = "mmd2", seed=0) -> tuple[float, float | None, float]:
+    """The permutation screen over the full (m + n)^2 pooled matrix.
+
+    Same draws from ``seed`` as the library: the two subsamples, the
+    median-heuristic subsample above 2000 points (median by np.median
+    over every pair) and one shuffle of the sorted pool per permutation.
+    Returns (statistic, sigma, p-value); sigma is None for energy.
+    """
+    rng = np.random.default_rng(seed)
+    xa = _draw(np.asarray(x, dtype=float), sample_cap, rng)
+    ya = _draw(np.asarray(y, dtype=float), sample_cap, rng)
+    pooled = np.concatenate([xa, ya])
+    matrix = np.abs(pooled[:, None] - pooled[None, :])
+    sigma = None
+    if statistic == "mmd2":
+        sub = _draw(pooled, 2000, rng)
+        sigma = float(np.median(np.abs(sub[:, None] - sub[None, :])[np.triu_indices(sub.size, k=1)]))
+        sigma = sigma if sigma > 0.0 else 1.0
+        np.multiply(matrix, matrix, out=matrix)
+        np.divide(matrix, -2.0 * sigma * sigma, out=matrix)
+        np.exp(matrix, out=matrix)
+    observed, p_value = dense_permutation_pvalue(statistic, matrix, xa.size, permutations, rng,
+                                                 np.argsort(pooled, kind="stable"))
+    return observed, sigma, p_value
+
+
+def _dense_statistic(kind: str, matrix: np.ndarray, row_sums: np.ndarray, total: float,
+                     a_idx: np.ndarray) -> float:
+    m, n = a_idx.size, matrix.shape[0] - a_idx.size
+    s_aa = float(matrix[np.ix_(a_idx, a_idx)].sum())
+    s_ab = float(row_sums[a_idx].sum()) - s_aa
+    s_bb = total - s_aa - 2.0 * s_ab
+    if kind == "mmd2":
+        return (s_aa - m) / (m * (m - 1)) + (s_bb - n) / (n * (n - 1)) - 2.0 * s_ab / (m * n)
+    dxx = s_aa / (m * (m - 1)) if m > 1 else 0.0
+    dyy = s_bb / (n * (n - 1)) if n > 1 else 0.0
+    return 2.0 * s_ab / (m * n) - dxx - dyy
+
+
+def dense_permutation_pvalue(kind: str, matrix: np.ndarray, m: int, permutations: int,
+                             rng: np.random.Generator, canonical: np.ndarray) -> tuple[float, float]:
+    """Observed statistic and p-value from block sums of the pooled matrix;
+    ``canonical`` orders the pool before each shuffle."""
+    row_sums = matrix.sum(axis=1)
+    total = float(row_sums.sum())
+    observed = _dense_statistic(kind, matrix, row_sums, total, np.arange(m))
+    floor = observed - TIE_TOLERANCE * max(abs(observed), total / (matrix.shape[0] - m) ** 2)
+    count = 0
+    for _ in range(permutations):
+        perm = canonical[rng.permutation(canonical.size)]
+        if _dense_statistic(kind, matrix, row_sums, total, perm[:m]) >= floor:
+            count += 1
+    return observed, (count + 1) / (permutations + 1)
 
 
 def fuse_by_definition(segmentor, image_id, prompt, boxes, frame, rule) -> np.ndarray:

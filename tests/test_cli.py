@@ -181,6 +181,25 @@ class TestBenchCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {spec_path}: n_cases must be int")
 
+    @pytest.mark.parametrize("entry, key", [
+        ({"frame": [96]}, "frame"),
+        ({"frame": [96, 0]}, "frame"),
+        ({"frame": [96, 96, 96]}, "frame"),
+        ({"spacing": [0.0, 1.0]}, "spacing"),
+        ({"spacing": [1.0, -2.0]}, "spacing"),
+        ({"spacing": [1.0]}, "spacing"),
+        ({"clutter_radius": [6.0, 3.0]}, "clutter_radius"),
+        ({"clutter_radius": [3.0]}, "clutter_radius"),
+        ({"clutter_peak": [0.85, 0.55]}, "clutter_peak"),
+        ({"clutter_peak": [0.5, 0.6, 0.7]}, "clutter_peak"),
+    ])
+    def test_bench_spec_shape_errors_exit_2(self, tmp_path, capsys, entry, key):
+        spec_path = tmp_path / "bench.json"
+        spec_path.write_text(json.dumps({"n_cases": 2, **entry}))
+        rc = main(["bench", "--spec", str(spec_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {spec_path}: {key} must be")
+
     def test_bench_dump_dir_writes_sgrids(self, tmp_path, capsys):
         spec_path = tmp_path / "bench.json"
         spec_path.write_text(json.dumps({"n_cases": 1, "seed": 19}))
@@ -206,7 +225,10 @@ class TestInspectCommand:
         assert "final:" in text
         report = json.loads((out_dir / "reports" / "case0000.json").read_text())
         timing = next(line for line in text.splitlines() if line.startswith("  timing: "))
-        assert all(f"{stage} " in timing for stage in report["timing"])
+        printed = [part.split()[0] for part in timing[len("  timing: "):].split(", ")]
+        pipeline_order = ["rois", "fusion", "l1", "candidates", "screen", "gates"]
+        assert printed == [stage for stage in pipeline_order if stage in report["timing"]]
+        assert set(printed) == set(report["timing"])
         assert "sigma" in text and "warning" not in text
 
         # Energy candidates carry no sigma; 19 permutations over the two

@@ -1,9 +1,11 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from segscreen import stats
 from segscreen.stats import (
     TestConfig,
     bh_fdr,
@@ -19,6 +21,7 @@ from segscreen.stats import (
 
 from oracles import (
     bh_keep_bruteforce,
+    dense_two_sample_test,
     ecdf_distance,
     energy_by_definition,
     median_distance_by_definition,
@@ -54,6 +57,25 @@ class TestMedianHeuristic:
         for _ in range(50):
             data = rng.uniform(0.0, 1.0, size=int(rng.integers(2, 120)))
             assert median_heuristic(data) == median_distance_by_definition(data)
+
+    @pytest.mark.parametrize("size", [2, 3, 50, 51, 300])
+    @pytest.mark.parametrize("data", ["continuous", "rounded", "two_valued"])
+    def test_selection_equals_definition_at_pool_sizes(self, size, data):
+        # Odd and even pair counts (1, 3, 1225, 1275, 44850), with and
+        # without tied distances.
+        rng = np.random.default_rng(size)
+        sample = {"continuous": rng.normal(size=size),
+                  "rounded": np.round(rng.uniform(size=size), 2),
+                  "two_valued": rng.choice([0.25, 0.75], size=size)}[data]
+        assert median_heuristic(sample) == median_distance_by_definition(sample)
+
+    def test_selection_finds_every_order_statistic(self):
+        rng = np.random.default_rng(47)
+        for sample in (rng.normal(size=23), np.round(rng.uniform(size=24), 1),
+                       rng.choice([0.0, 0.3, 1.0], size=17), np.full(6, 2.0)):
+            xs = np.sort(sample)
+            diffs = sorted(xs[j] - xs[i] for i in range(xs.size) for j in range(i + 1, xs.size))
+            assert [stats._kth_difference(xs, k) for k in range(len(diffs))] == diffs
 
     @pytest.mark.parametrize("shape", [(4, 2), (2, 2, 2)])
     def test_rejects_samples_that_are_not_1d(self, shape):
@@ -213,6 +235,85 @@ class TestTwoSampleTest:
             else:
                 stat = energy_distance
             assert out.p_value == permutation_test(x, y, stat, cfg.permutations, seed=cfg.seed)
+
+    def test_mmd2_equals_dense_reference_exactly(self):
+        # The kernel computed on the fly in row blocks gives the bits of the
+        # full pooled matrix: pooled sizes up to 1500 and one of 2140, where
+        # the median heuristic subsamples and the row sums take 3 blocks.
+        rng = np.random.default_rng(71)
+        sizes = [(int(rng.integers(2, 200)), int(rng.integers(2, 1300))) for _ in range(8)]
+        for i, (m, n) in enumerate(sizes + [(40, 2100)]):
+            x = rng.normal(0.0, 1.0, size=m)
+            y = rng.normal(float(rng.uniform(0.0, 0.5)), 1.0, size=n)
+            out = two_sample_test(x, y, TestConfig(permutations=49, seed=i))
+            assert (out.statistic_observed, out.bandwidth_sigma, out.p_value) == \
+                dense_two_sample_test(x, y, permutations=49, seed=i)
+
+    def test_energy_matches_dense_reference(self):
+        rng = np.random.default_rng(72)
+        for i in range(8):
+            x = rng.normal(0.0, 1.0, size=int(rng.integers(1, 200)))
+            y = rng.normal(float(rng.uniform(0.0, 0.5)), 1.0, size=int(rng.integers(1, 1300)))
+            out = two_sample_test(x, y, TestConfig(permutations=49, statistic="energy", seed=i))
+            stat, sigma, p_value = dense_two_sample_test(x, y, permutations=49,
+                                                         statistic="energy", seed=i)
+            assert out.statistic_observed == pytest.approx(stat, rel=1e-10)
+            assert (out.bandwidth_sigma, out.p_value) == (sigma, p_value)
+
+    def test_kernel_blocks_split_rows_and_within_sums(self, monkeypatch):
+        # With a 64-value budget every kernel, the m x m one included, is
+        # summed in row blocks; only the within-set sums change, in their
+        # last digits.
+        monkeypatch.setattr(stats, "KERNEL_BLOCK_ELEMENTS", 64)
+        rng = np.random.default_rng(73)
+        for i in range(5):
+            x = rng.normal(size=int(rng.integers(9, 40)))
+            y = rng.normal(0.5, 1.0, size=int(rng.integers(9, 60)))
+            out = two_sample_test(x, y, TestConfig(permutations=49, seed=i))
+            stat, sigma, p_value = dense_two_sample_test(x, y, permutations=49, seed=i)
+            assert out.statistic_observed == pytest.approx(stat, rel=1e-12, abs=1e-15)
+            assert (out.bandwidth_sigma, out.p_value) == (sigma, p_value)
+
+    @pytest.mark.parametrize("statistic", ["mmd2", "energy"])
+    def test_peak_memory_stays_flat(self, statistic):
+        # 4000 + 4000 points: the pooled matrix alone would take 488 MiB.
+        rng = np.random.default_rng(74)
+        x, y = rng.normal(size=4000), rng.normal(0.1, 1.0, size=4000)
+        tracemalloc.start()
+        try:
+            two_sample_test(x, y, TestConfig(permutations=19, statistic=statistic))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("statistic", ["mmd2", "energy"])
+    def test_ties_match_oracles(self, statistic):
+        # Two- and three-valued samples: many permutations reach the same
+        # multiset, or another one with the same statistic, through other
+        # summation orders. The oracle sums each statistic exactly rounded.
+        rng = np.random.default_rng(75)
+        for i in range(8):
+            levels = [0.0, 1.0] if i % 2 == 0 else [0.2, 0.5, 0.9]
+            m = int(rng.integers(2, 25))
+            n = m if i % 4 < 2 else int(rng.integers(2, 25))
+            x, y = rng.choice(levels, size=m), rng.choice(levels, size=n)
+            cfg = TestConfig(permutations=99, statistic=statistic, seed=i)
+            out = two_sample_test(x, y, cfg)
+            pooled = np.concatenate([x, y]).tolist()
+            if statistic == "mmd2":
+                sigma = out.bandwidth_sigma
+                stat = lambda a, b: mmd2_by_definition(a, b, sigma)
+                pair = lambda u, v: math.exp(-((u - v) ** 2) / (2.0 * sigma * sigma))
+            else:
+                stat, pair = energy_by_definition, lambda u, v: abs(u - v)
+            total = math.fsum(pair(u, v) for u in pooled for v in pooled)
+            assert out.p_value == permutation_test(x, y, stat, cfg.permutations, seed=cfg.seed,
+                                                   tie_scale=total / n**2)
+            assert out.p_value == dense_two_sample_test(x, y, cfg.permutations,
+                                                        statistic=statistic, seed=cfg.seed)[2]
+            if m == n:
+                assert two_sample_test(y, x, cfg).p_value == out.p_value
 
     def test_subsampling_respects_cap(self):
         rng = np.random.default_rng(62)
