@@ -63,6 +63,16 @@ def _default_seed(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _read_column(path: str) -> np.ndarray:
     """Single-column numeric text file; errors cite file and line number."""
     values = []
@@ -101,12 +111,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_stats_test(args: argparse.Namespace) -> int:
     x = _read_column(args.file_x)
     y = _read_column(args.file_y)
-    cfg = TestConfig(
-        permutations=args.permutations if args.permutations is not None else 199,
-        statistic=args.statistic,
-        seed=_default_seed(args),
-    )
-    outcome = two_sample_test(x, y, cfg)
+    try:
+        cfg = TestConfig(
+            permutations=args.permutations if args.permutations is not None else 199,
+            statistic=args.statistic,
+            seed=_default_seed(args),
+        )
+        outcome = two_sample_test(x, y, cfg)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     record = {
         "statistic": outcome.statistic_observed,
         "p_value": outcome.p_value,
@@ -150,6 +164,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     lines = [f"image: {report.get('image_id', '?')}"]
     if "error" in report:
         lines.append(f"  FAILED: {report['error']}")
+        lines.extend(f"    {line}" for line in report.get("traceback", []))
     for warning in report.get("warnings", []):
         lines.append(f"  warning: {warning}")
     for roi in report.get("rois", []):
@@ -196,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="process a dataset manifest end to end")
     p_run.add_argument("--manifest", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--jobs", type=_positive_int, default=1)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--dump-fused", action="store_true",
                        help="also write the fused probability map per image")
@@ -213,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run the synthetic benchmark")
     p_bench.add_argument("--spec", help="bench spec JSON (defaults apply when omitted)")
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument("--jobs", type=_positive_int, default=1)
     p_bench.add_argument("--seed", type=int, default=None)
     p_bench.add_argument("--per-case", action="store_true", help="include per-case rows")
     p_bench.add_argument("--dump-dir", default=None,

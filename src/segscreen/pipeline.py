@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -318,7 +319,10 @@ def run_manifest(
             gt = read_mask(entry.ground_truth_path) if entry.ground_truth_path else None
             return process_case(entry.image_id, intensity, plan, backend, cfg, base_seed), gt
         except Exception as err:  # per-image isolation: report, keep going
-            report = {"image_id": entry.image_id, "error": f"{type(err).__name__}: {err}"}
+            # The innermost two frames and the exception, one line each.
+            tail = "".join(traceback.format_exception(err)[-3:]).splitlines()
+            report = {"image_id": entry.image_id, "error": f"{type(err).__name__}: {err}",
+                      "traceback": tail}
             placeholder = ScalarGrid(np.zeros((1, 1)))
             return CaseResult(entry.image_id, BinaryMask.full(1, 1, False), placeholder,
                               report, failed=True), None

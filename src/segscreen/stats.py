@@ -5,13 +5,16 @@ Samples are 1-D numpy arrays of scalar features; the pipeline's feature
 is min-max normalized intensity, one value per pixel. Every statistic
 is built from the pairwise distances |x_i - x_j|, and none holds the
 (m + n)^2 pooled matrix: memory is O((m + n) + block), time per
-permutation O(m^2) for MMD^2 and O(m log m + n) for energy.
+permutation O(min(m, n)^2 / 2) for MMD^2 and O(m log m + n) for energy.
 
 - The MMD^2 kernel bandwidth is the exact median pairwise distance of
   the observed pool, selected from the sorted pool in O(N log N)
   (Croux & Rousseeuw 1992), and held fixed across permutations, which
   preserves exchangeability under the null.
-- The Gaussian kernel is computed on the fly in row blocks.
+- The Gaussian kernel is evaluated on the pool prescaled once by
+  1 / (sigma sqrt 2), once per unordered pair and in bounded blocks:
+  upper-triangle row blocks for the pooled row sums, and per
+  permutation a circulant half-kernel of the smaller set.
 - The energy statistic's distance sums come from sorted prefix sums
   (Huo & Szekely 2016); it has no bandwidth.
 
@@ -29,15 +32,17 @@ import numpy as np
 from scipy.special import kolmogorov
 
 MEDIAN_HEURISTIC_MAX_POINTS = 2000
-# Most float64 values in one on-the-fly block of the Gaussian kernel (8 MiB).
-KERNEL_BLOCK_ELEMENTS = 1 << 20
+# Most float64 values in one on-the-fly block of the Gaussian kernel (1 MiB,
+# so that a block's passes stay within a core's L2 cache).
+KERNEL_BLOCK_ELEMENTS = 1 << 17
 # A permuted statistic ties the observed one when it falls short of it by
 # at most TIE_TOLERANCE * max(|observed|, total / n^2), with ``total`` the
 # sum of the pooled matrix and n the second set's size. The first term is
 # scipy's rule (stats/_resampling.py). The second keeps ties when the
 # statistic cancels to near zero: both statistics are differences of block
-# means, and s_bb = total - s_aa - 2 s_ab carries the rounding of the total,
-# so equal statistics reached through different splits or summation orders
+# means, and one within-set sum is derived from the other as
+# total - s_within - 2 s_cross, which carries the rounding of the total, so
+# equal statistics reached through different splits or summation orders
 # differ by a few eps * total / n^2.
 TIE_TOLERANCE = 100 * np.finfo(np.float64).eps
 STATISTIC_KINDS = ("mmd2", "energy")
@@ -171,64 +176,106 @@ def median_heuristic(pooled, max_points: int = MEDIAN_HEURISTIC_MAX_POINTS, seed
 # Both MMD^2 and the energy statistic are functions of one pooled pairwise
 # matrix (kernel values, respectively distances). A split of the pool into
 # the two sets only re-partitions its rows and columns, so the split's block
-# sums follow from three numbers: the within-set sum s_aa of the first set,
-# the sum of its rows, and the matrix total. None of them needs the
-# (m + n)^2 matrix. The row sums come once per test: Gaussian kernel rows
-# computed on the fly in blocks of at most KERNEL_BLOCK_ELEMENTS values, and
-# distance rows in closed form over the sorted pool (Huo & Szekely 2016).
-# s_aa comes per split from the first set alone: its m x m kernel, in blocks
-# above the same budget, or the prefix-sum identity over its sorted values.
+# sums follow from three numbers: the within-set sum of one set, the sum of
+# that set's rows, and the matrix total. None of them needs the (m + n)^2
+# matrix. The row sums come once per test over the sorted pool: Gaussian
+# kernel values of each unordered pair computed once, in upper-triangle row
+# blocks of at most KERNEL_BLOCK_ELEMENTS values, and distance rows in closed
+# form (Huo & Szekely 2016). The within-set sum comes per split: for MMD^2
+# the circulant half-kernel of the smaller set, for energy the prefix-sum
+# identity over the first set's sorted values.
 
 
-def _gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    # exp(-|a_i - b_j|^2 / (2 sigma^2)), built in place. Squaring needs no
-    # abs() first: d * d and |d| * |d| are the same double.
-    k = a[:, None] - b[None, :]
+def _prescale(xs: np.ndarray, sigma: float) -> np.ndarray:
+    # On z = x / (sigma sqrt 2) the Gaussian kernel exp(-|x_i - x_j|^2 /
+    # (2 sigma^2)) is exp(-(z_i - z_j)^2): no divide per kernel value.
+    return xs * (np.sqrt(0.5) / sigma)
+
+
+def _exp_neg_square(k: np.ndarray) -> np.ndarray:
+    # exp(-k^2) in place. Squaring needs no abs() first: d * d and |d| * |d|
+    # are the same double.
     np.multiply(k, k, out=k)
-    np.divide(k, -2.0 * sigma * sigma, out=k)
+    np.negative(k, out=k)
     return np.exp(k, out=k)
 
 
-def _kernel_blocks(a: np.ndarray, b: np.ndarray, sigma: float):
-    # The kernel between a and b as consecutive row blocks; one block when
-    # it fits KERNEL_BLOCK_ELEMENTS.
-    step = max(1, KERNEL_BLOCK_ELEMENTS // b.size)
-    for start in range(0, a.size, step):
-        yield _gaussian_kernel(a[start:start + step], b, sigma)
+def _kernel_row_sums(z: np.ndarray) -> np.ndarray:
+    # Row sums of the kernel of a sorted, prescaled pool. Rows [s, e) meet
+    # columns [s, N) in one block: its row sums go to its own rows and the
+    # column sums of its part right of the diagonal square to the later rows,
+    # so only the square is computed twice.
+    n = z.size
+    step = max(1, KERNEL_BLOCK_ELEMENTS // n)
+    sums = np.zeros(n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        block = _exp_neg_square(z[None, start:] - z[start:stop, None])
+        sums[start:stop] += block.sum(axis=1)
+        sums[stop:] += block[:, stop - start:].sum(axis=0)
+    # Tied points have equal rows; give them the same bits, so that a split's
+    # row sum depends on which values it holds, not on which tied copies.
+    return sums[np.searchsorted(z, z, side="left")]
+
+
+def _within_sum(z: np.ndarray) -> float:
+    # Sum of the kernel of a sorted, prescaled set over all ordered pairs,
+    # diagonal included: m + 2 sum_{i<j}. The pairs (i, i + k mod m) for
+    # k = 1..h, h = (m - 1) // 2, hold each unordered pair once, plus the
+    # half-row k = m / 2 when m is even. Row k - 1 of the circulant band is
+    # z[k .. k + m) of z doubled: a strided view, no index matrix.
+    m = z.size
+    h = (m - 1) // 2
+    doubled = np.concatenate([z, z[:h]])
+    size = doubled.itemsize
+    step = max(1, KERNEL_BLOCK_ELEMENTS // m)
+    half = 0.0
+    for start in range(0, h, step):
+        band = np.ndarray((min(step, h - start), m), dtype=doubled.dtype, buffer=doubled,
+                          offset=(start + 1) * size, strides=(size, size))
+        half += float(_exp_neg_square(band - z).sum())
+    if m % 2 == 0:
+        half += float(_exp_neg_square(z[m // 2:] - z[:m // 2]).sum())
+    return m + 2.0 * half
 
 
 def _pooled_matrix(kind: str, pooled: np.ndarray, sigma: float | None) -> np.ndarray:
     # Row sums of the pooled pairwise matrix, in pool order.
-    if kind == "mmd2":
-        return np.concatenate([block.sum(axis=1) for block in _kernel_blocks(pooled, pooled, sigma)])
-    # sum_j |v - x_j| = v (2f - N) + S - 2 S_f, where f points lie below v
-    # and S_f is their sum. Tied points share f, so their row sums are equal.
     order = np.argsort(pooled, kind="stable")
     xs = pooled[order]
+    sums = np.empty_like(pooled)
+    if kind == "mmd2":
+        sums[order] = _kernel_row_sums(_prescale(xs, sigma))
+        return sums
+    # sum_j |v - x_j| = v (2f - N) + S - 2 S_f, where f points lie below v
+    # and S_f is their sum. Tied points share f, so their row sums are equal.
     below = np.searchsorted(xs, xs, side="left")
     prefix = np.concatenate([[0.0], np.cumsum(xs)])
-    sums = np.empty_like(pooled)
     sums[order] = xs * (2 * below - xs.size) + (prefix[-1] - 2.0 * prefix[below])
     return sums
 
 
 def _stat_from_blocks(kind: str, xs: np.ndarray, sums: np.ndarray, total: float,
-                      sigma: float | None, ranks: np.ndarray) -> float:
-    # The statistic of the split that puts the points at ``ranks`` of the
-    # sorted pool xs in the first set; ``sums`` are the row sums of xs and
-    # ``total`` their sum.
-    m, n = ranks.size, xs.size - ranks.size
+                      perm: np.ndarray, m: int) -> float:
+    # The statistic of the split that puts the points at perm[:m] of the
+    # sorted pool xs (prescaled for MMD^2) in the first set and the rest in
+    # the second; ``sums`` are the row sums of xs and ``total`` their sum.
+    # One set's within-set sum is computed: the smaller set's for MMD^2, the
+    # first set's for energy. Its row sum r = s_within + s_cross and the
+    # total give the other two. Sorting its ranks makes every sum a function
+    # of its multiset.
+    n = xs.size - m
+    first = kind == "energy" or m <= n
+    ranks = np.sort(perm[:m] if first else perm[m:])
     if kind == "mmd2":
-        a = xs[ranks]
-        s_aa = sum(float(block.sum()) for block in _kernel_blocks(a, a, sigma))
+        s_within = _within_sum(xs[ranks])
     else:
-        # Sorting makes s_aa and s_ab functions of the first set's multiset.
-        # Its k-th smallest value exceeds k others and falls short of
+        # The set's k-th smallest value exceeds k others and falls short of
         # m - 1 - k, once per ordered pair.
-        ranks = np.sort(ranks)
-        s_aa = 2.0 * float((xs[ranks] * (2 * np.arange(m) - (m - 1))).sum())
-    s_ab = float(sums[ranks].sum()) - s_aa
-    s_bb = total - s_aa - 2.0 * s_ab
+        s_within = 2.0 * float((xs[ranks] * (2 * np.arange(m) - (m - 1))).sum())
+    s_ab = float(sums[ranks].sum()) - s_within
+    s_rest = total - s_within - 2.0 * s_ab
+    s_aa, s_bb = (s_within, s_rest) if first else (s_rest, s_within)
     if kind == "mmd2":
         # Gaussian kernel diagonal is exactly m (resp. n) ones.
         t1 = (s_aa - m) / (m * (m - 1))
@@ -294,11 +341,13 @@ def _fast_permutation_pvalue(
     ranks = np.empty_like(order)
     ranks[order] = np.arange(order.size)
     xs, sums = pooled[order], row_sums[order]
-    observed = _stat_from_blocks(kind, xs, sums, total, sigma, ranks[:m])
+    if kind == "mmd2":
+        xs = _prescale(xs, sigma)
+    observed = _stat_from_blocks(kind, xs, sums, total, ranks, m)
     floor = observed - TIE_TOLERANCE * max(abs(observed), total / (xs.size - m) ** 2)
     count = 0
     for _ in range(permutations):
-        if _stat_from_blocks(kind, xs, sums, total, sigma, rng.permutation(xs.size)[:m]) >= floor:
+        if _stat_from_blocks(kind, xs, sums, total, rng.permutation(xs.size), m) >= floor:
             count += 1
     return observed, (count + 1) / (permutations + 1)
 

@@ -72,18 +72,26 @@ def median_distance_by_definition(points) -> float:
     return med if med > 0.0 else 1.0
 
 
+def gaussian_kernel(u: float, v: float, sigma: float) -> float:
+    return math.exp(-((u - v) ** 2) / (2.0 * sigma * sigma))
+
+
+def within_kernel_sum_by_definition(x, sigma: float) -> float:
+    """Gaussian kernel summed over the ordered pairs i != j of one set,
+    exactly rounded."""
+    x = [float(v) for v in x]
+    return math.fsum(gaussian_kernel(x[i], x[j], sigma)
+                     for i in range(len(x)) for j in range(len(x)) if i != j)
+
+
 def mmd2_by_definition(x, y, sigma: float) -> float:
     """Literal double loops over the U-statistic definition, each sum
     exactly rounded, so equal multisets give equal bits."""
     x, y = [float(v) for v in x], [float(v) for v in y]
     m, n = len(x), len(y)
-
-    def k(u, v):
-        return math.exp(-((u - v) ** 2) / (2.0 * sigma * sigma))
-
-    t1 = math.fsum(k(x[i], x[j]) for i in range(m) for j in range(m) if i != j) / (m * (m - 1))
-    t2 = math.fsum(k(y[i], y[j]) for i in range(n) for j in range(n) if i != j) / (n * (n - 1))
-    t3 = 2.0 * math.fsum(k(x[i], y[j]) for i in range(m) for j in range(n)) / (m * n)
+    t1 = within_kernel_sum_by_definition(x, sigma) / (m * (m - 1))
+    t2 = within_kernel_sum_by_definition(y, sigma) / (n * (n - 1))
+    t3 = 2.0 * math.fsum(gaussian_kernel(u, v, sigma) for u in x for v in y) / (m * n)
     return t1 + t2 - t3
 
 

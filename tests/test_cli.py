@@ -62,6 +62,20 @@ class TestStatsTestCommand:
         with pytest.raises(SystemExit, match="cannot open"):
             main(["stats-test", str(tmp_path / "nope.txt"), str(fy)])
 
+    @pytest.mark.parametrize("x_values, flags, message", [
+        ([0.1 * i for i in range(20)], ["--permutations", "5"], "permutations"),
+        ([0.5], [], "mmd2 needs >= 2 points per set"),
+        ([0.1, "nan", 0.3], [], "non-finite"),
+    ])
+    def test_bad_input_exits_2(self, tmp_path, capsys, x_values, flags, message):
+        fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
+        write_column(fx, x_values)
+        write_column(fy, [0.2, 0.4, 0.6])
+        rc = main(["stats-test", str(fx), str(fy)] + flags)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 class TestRunCommand:
     def test_run_writes_outputs_and_exits_zero(self, tmp_path, capsys):
@@ -120,6 +134,18 @@ class TestRunCommand:
         rc = main(args + ["--config", str(cfg_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {cfg_path}: {key} must be")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_jobs_must_be_positive(self, tmp_path, capsys, command, jobs):
+        manifest = write_dataset(tmp_path, n_cases=1, seed=5)
+        args = {"run": ["run", "--manifest", str(manifest), "--out", str(tmp_path / "o")],
+                "bench": ["bench"]}[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + ["--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_env_var_seed(self, tmp_path, capsys, monkeypatch):
@@ -241,6 +267,26 @@ class TestInspectCommand:
         text = capsys.readouterr().out
         assert "warning: BH resolution floor" in text
         assert "statistic " in text and "sigma" not in text
+
+    def test_failed_image_report_carries_traceback_tail(self, tmp_path, capsys):
+        manifest = write_dataset(tmp_path, n_cases=2, seed=5)
+        intensity = tmp_path / "case0000.intensity.sgrid"
+        intensity.write_bytes(intensity.read_bytes()[:100])  # header plus a cut payload
+        out_dir = tmp_path / "out"
+        rc = main(["run", "--manifest", str(manifest), "--out", str(out_dir)])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().out)["n_failed"] == 1
+        report = json.loads((out_dir / "reports" / "case0000.json").read_text())
+        assert report["error"].startswith("ValueError: ") and "truncated payload" in report["error"]
+        tail = report["traceback"]
+        assert 1 < len(tail) <= 12
+        assert any("in read_sgrid" in line for line in tail)
+        assert tail[-1] == report["error"]
+        rc = main(["inspect", str(out_dir / "reports" / "case0000.json")])
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert f"FAILED: {report['error']}" in text
+        assert all(line in text for line in tail)
 
     def test_inspect_missing_file(self, tmp_path, capsys):
         rc = main(["inspect", str(tmp_path / "none.json")])

@@ -27,6 +27,7 @@ from oracles import (
     median_distance_by_definition,
     mmd2_by_definition,
     permutation_test,
+    within_kernel_sum_by_definition,
 )
 
 
@@ -237,17 +238,22 @@ class TestTwoSampleTest:
             assert out.p_value == permutation_test(x, y, stat, cfg.permutations, seed=cfg.seed)
 
     def test_mmd2_equals_dense_reference_exactly(self):
-        # The kernel computed on the fly in row blocks gives the bits of the
-        # full pooled matrix: pooled sizes up to 1500 and one of 2140, where
-        # the median heuristic subsamples and the row sums take 3 blocks.
+        # Sigma and the p-value equal those of the full pooled matrix:
+        # pooled sizes up to 1500 and one of 2140, where the median
+        # heuristic subsamples and the row sums take many blocks. Summing
+        # each unordered pair once reassociates the kernel sums, so the
+        # statistic agrees to its last digits; near 0 it cancels, and
+        # there the dense reference itself is off the exactly rounded
+        # value by about 1e-12 relative, hence the absolute floor.
         rng = np.random.default_rng(71)
         sizes = [(int(rng.integers(2, 200)), int(rng.integers(2, 1300))) for _ in range(8)]
         for i, (m, n) in enumerate(sizes + [(40, 2100)]):
             x = rng.normal(0.0, 1.0, size=m)
             y = rng.normal(float(rng.uniform(0.0, 0.5)), 1.0, size=n)
             out = two_sample_test(x, y, TestConfig(permutations=49, seed=i))
-            assert (out.statistic_observed, out.bandwidth_sigma, out.p_value) == \
-                dense_two_sample_test(x, y, permutations=49, seed=i)
+            stat, sigma, p_value = dense_two_sample_test(x, y, permutations=49, seed=i)
+            assert out.statistic_observed == pytest.approx(stat, rel=1e-12, abs=1e-15)
+            assert (out.bandwidth_sigma, out.p_value) == (sigma, p_value)
 
     def test_energy_matches_dense_reference(self):
         rng = np.random.default_rng(72)
@@ -273,6 +279,57 @@ class TestTwoSampleTest:
             stat, sigma, p_value = dense_two_sample_test(x, y, permutations=49, seed=i)
             assert out.statistic_observed == pytest.approx(stat, rel=1e-12, abs=1e-15)
             assert (out.bandwidth_sigma, out.p_value) == (sigma, p_value)
+
+    @pytest.mark.parametrize("budget", [stats.KERNEL_BLOCK_ELEMENTS, 64])
+    def test_half_kernel_equals_within_sum_by_definition(self, monkeypatch, budget):
+        # m + 2 * (circulant half-kernel) against the exactly rounded sum
+        # over ordered pairs, odd and even m, in one block or many.
+        monkeypatch.setattr(stats, "KERNEL_BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(76)
+        sizes = list(range(2, 10)) + [int(v) for v in rng.integers(10, 301, size=6)] + [200, 201]
+        for m in sizes:
+            x = rng.normal(size=m)
+            sigma = float(rng.uniform(0.2, 2.0))
+            s_aa = stats._within_sum(stats._prescale(np.sort(x), sigma))
+            expected = m + within_kernel_sum_by_definition(x, sigma)
+            assert s_aa == pytest.approx(expected, rel=1e-13), m
+
+    def test_mmd2_larger_first_set_matches_references(self):
+        # With m > n the second set's kernel is summed and the first set's
+        # within-set sum derived: the p-value and sigma equal the dense
+        # reference, the statistic the exactly rounded definition. The
+        # last pair's pool exceeds 2000 points, so the median is subsampled.
+        rng = np.random.default_rng(77)
+        for i, (m, n) in enumerate([(300, 20), (150, 149), (60, 2), (500, 3), (2100, 40)]):
+            x = rng.normal(0.0, 1.0, size=m)
+            y = rng.normal(float(rng.uniform(0.0, 0.5)), 1.0, size=n)
+            out = two_sample_test(x, y, TestConfig(permutations=19, seed=i))
+            stat, sigma, p_value = dense_two_sample_test(x, y, permutations=19, seed=i)
+            assert (out.bandwidth_sigma, out.p_value) == (sigma, p_value)
+            if m + n <= 600:
+                assert out.statistic_observed == pytest.approx(
+                    mmd2_by_definition(x, y, sigma), rel=1e-12, abs=1e-15)
+
+    def test_mmd2_permutation_cost_bounded_by_smaller_set(self):
+        # A permutation sums the kernel of the smaller set, so a large
+        # candidate against a small control costs what the reverse does,
+        # not (2000 / 40)^2 times more.
+        rng = np.random.default_rng(78)
+
+        def runtime(m, n):
+            pooled = rng.normal(size=m + n)
+            sigma = median_heuristic(pooled)
+            row_sums = stats._pooled_matrix("mmd2", pooled, sigma)
+            best = np.inf
+            for _ in range(3):
+                t0 = time.perf_counter()
+                stats._fast_permutation_pvalue("mmd2", pooled, row_sums, sigma, m, 49,
+                                               np.random.default_rng(0))
+                best = min(best, time.perf_counter() - t0)
+            return best
+
+        large_first, small_first = runtime(2000, 40), runtime(40, 2000)
+        assert max(large_first, small_first) < 3.0 * min(large_first, small_first)
 
     @pytest.mark.parametrize("statistic", ["mmd2", "energy"])
     def test_peak_memory_stays_flat(self, statistic):
