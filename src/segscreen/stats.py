@@ -5,7 +5,8 @@ Samples are 1-D numpy arrays of scalar features; the pipeline's feature
 is min-max normalized intensity, one value per pixel. Every statistic
 is built from the pairwise distances |x_i - x_j|, and none holds the
 (m + n)^2 pooled matrix: memory is O((m + n) + block), time per
-permutation O(min(m, n)^2 / 2) for MMD^2 and O(m log m + n) for energy.
+permutation O(m^2 / 2) for MMD^2 and O(m log m + n) for energy, with m
+the first set's size.
 
 - The MMD^2 kernel bandwidth is the exact median pairwise distance of
   the observed pool, selected from the sorted pool in O(N log N)
@@ -14,7 +15,7 @@ permutation O(min(m, n)^2 / 2) for MMD^2 and O(m log m + n) for energy.
 - The Gaussian kernel is evaluated on the pool prescaled once by
   1 / (sigma sqrt 2), once per unordered pair and in bounded blocks:
   upper-triangle row blocks for the pooled row sums, and per
-  permutation a circulant half-kernel of the smaller set.
+  permutation a circulant half-kernel of the first set.
 - The energy statistic's distance sums come from sorted prefix sums
   (Huo & Szekely 2016); it has no bandwidth.
 
@@ -32,17 +33,18 @@ import numpy as np
 from scipy.special import kolmogorov
 
 MEDIAN_HEURISTIC_MAX_POINTS = 2000
-# Most float64 values in one on-the-fly block of the Gaussian kernel (1 MiB,
-# so that a block's passes stay within a core's L2 cache).
+# Most float64 values in one on-the-fly block of the Gaussian kernel (1 MiB).
+# The pooled row sums compute each row block's diagonal square twice, about
+# KERNEL_BLOCK_ELEMENTS / 2 values per test on top of the N^2 / 2 pairs: at
+# N = 1440 that is 6 % more with this budget and 50 % more with 8 MiB.
 KERNEL_BLOCK_ELEMENTS = 1 << 17
 # A permuted statistic ties the observed one when it falls short of it by
 # at most TIE_TOLERANCE * max(|observed|, total / n^2), with ``total`` the
 # sum of the pooled matrix and n the second set's size. The first term is
 # scipy's rule (stats/_resampling.py). The second keeps ties when the
 # statistic cancels to near zero: both statistics are differences of block
-# means, and one within-set sum is derived from the other as
-# total - s_within - 2 s_cross, which carries the rounding of the total, so
-# equal statistics reached through different splits or summation orders
+# means, and s_bb = total - s_aa - 2 s_ab carries the rounding of the total,
+# so equal statistics reached through different splits or summation orders
 # differ by a few eps * total / n^2.
 TIE_TOLERANCE = 100 * np.finfo(np.float64).eps
 STATISTIC_KINDS = ("mmd2", "energy")
@@ -176,14 +178,14 @@ def median_heuristic(pooled, max_points: int = MEDIAN_HEURISTIC_MAX_POINTS, seed
 # Both MMD^2 and the energy statistic are functions of one pooled pairwise
 # matrix (kernel values, respectively distances). A split of the pool into
 # the two sets only re-partitions its rows and columns, so the split's block
-# sums follow from three numbers: the within-set sum of one set, the sum of
-# that set's rows, and the matrix total. None of them needs the (m + n)^2
-# matrix. The row sums come once per test over the sorted pool: Gaussian
-# kernel values of each unordered pair computed once, in upper-triangle row
-# blocks of at most KERNEL_BLOCK_ELEMENTS values, and distance rows in closed
-# form (Huo & Szekely 2016). The within-set sum comes per split: for MMD^2
-# the circulant half-kernel of the smaller set, for energy the prefix-sum
-# identity over the first set's sorted values.
+# sums follow from three numbers: the within-set sum s_aa of the first set,
+# the sum of its rows, and the matrix total. None of them needs the
+# (m + n)^2 matrix. The row sums come once per test over the sorted pool:
+# Gaussian kernel values of each unordered pair computed once, in
+# upper-triangle row blocks of at most KERNEL_BLOCK_ELEMENTS values, and
+# distance rows in closed form (Huo & Szekely 2016). s_aa comes per split
+# from the first set alone: for MMD^2 its circulant half-kernel, for energy
+# the prefix-sum identity over its sorted values.
 
 
 def _prescale(xs: np.ndarray, sigma: float) -> np.ndarray:
@@ -239,43 +241,39 @@ def _within_sum(z: np.ndarray) -> float:
     return m + 2.0 * half
 
 
-def _pooled_matrix(kind: str, pooled: np.ndarray, sigma: float | None) -> np.ndarray:
-    # Row sums of the pooled pairwise matrix, in pool order.
+def _pooled_matrix(kind: str, pooled: np.ndarray,
+                   sigma: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The pool's stable sort order, the sorted pool (prescaled for MMD^2) and
+    # the row sums of its pooled pairwise matrix, in sorted order.
     order = np.argsort(pooled, kind="stable")
     xs = pooled[order]
-    sums = np.empty_like(pooled)
     if kind == "mmd2":
-        sums[order] = _kernel_row_sums(_prescale(xs, sigma))
-        return sums
+        xs = _prescale(xs, sigma)
+        return order, xs, _kernel_row_sums(xs)
     # sum_j |v - x_j| = v (2f - N) + S - 2 S_f, where f points lie below v
     # and S_f is their sum. Tied points share f, so their row sums are equal.
     below = np.searchsorted(xs, xs, side="left")
     prefix = np.concatenate([[0.0], np.cumsum(xs)])
-    sums[order] = xs * (2 * below - xs.size) + (prefix[-1] - 2.0 * prefix[below])
-    return sums
+    return order, xs, xs * (2 * below - xs.size) + (prefix[-1] - 2.0 * prefix[below])
 
 
 def _stat_from_blocks(kind: str, xs: np.ndarray, sums: np.ndarray, total: float,
-                      perm: np.ndarray, m: int) -> float:
-    # The statistic of the split that puts the points at perm[:m] of the
-    # sorted pool xs (prescaled for MMD^2) in the first set and the rest in
-    # the second; ``sums`` are the row sums of xs and ``total`` their sum.
-    # One set's within-set sum is computed: the smaller set's for MMD^2, the
-    # first set's for energy. Its row sum r = s_within + s_cross and the
-    # total give the other two. Sorting its ranks makes every sum a function
-    # of its multiset.
+                      ranks: np.ndarray) -> float:
+    # The statistic of the split that puts the points at the sorted ranks
+    # ``ranks`` of the sorted pool xs (prescaled for MMD^2) in the first set
+    # and the rest in the second; ``sums`` are the row sums of xs and
+    # ``total`` their sum. Sorted ranks make every sum a function of the
+    # first set's multiset.
+    m = ranks.size
     n = xs.size - m
-    first = kind == "energy" or m <= n
-    ranks = np.sort(perm[:m] if first else perm[m:])
     if kind == "mmd2":
-        s_within = _within_sum(xs[ranks])
+        s_aa = _within_sum(xs[ranks])
     else:
         # The set's k-th smallest value exceeds k others and falls short of
         # m - 1 - k, once per ordered pair.
-        s_within = 2.0 * float((xs[ranks] * (2 * np.arange(m) - (m - 1))).sum())
-    s_ab = float(sums[ranks].sum()) - s_within
-    s_rest = total - s_within - 2.0 * s_ab
-    s_aa, s_bb = (s_within, s_rest) if first else (s_rest, s_within)
+        s_aa = 2.0 * float((xs[ranks] * (2 * np.arange(m) - (m - 1))).sum())
+    s_ab = float(sums[ranks].sum()) - s_aa
+    s_bb = total - s_aa - 2.0 * s_ab
     if kind == "mmd2":
         # Gaussian kernel diagonal is exactly m (resp. n) ones.
         t1 = (s_aa - m) / (m * (m - 1))
@@ -297,10 +295,9 @@ def _check_sizes(kind: str, m: int, n: int) -> None:
 def _statistic(kind: str, x, y, sigma: float | None = None) -> float:
     xa, ya = as_sample(x), as_sample(y)
     _check_sizes(kind, xa.size, ya.size)
-    pooled = np.concatenate([xa, ya])
     # The observed statistic of a test without permutations.
-    return _fast_permutation_pvalue(kind, pooled, _pooled_matrix(kind, pooled, sigma), sigma,
-                                    xa.size, 0, None)[0]
+    order, xs, row_sums = _pooled_matrix(kind, np.concatenate([xa, ya]), sigma)
+    return _fast_permutation_pvalue(kind, xs, row_sums, order, xa.size, 0, None)[0]
 
 
 def mmd2_unbiased(x, y, sigma: float) -> float:
@@ -325,29 +322,26 @@ def energy_distance(x, y) -> float:
 
 def _fast_permutation_pvalue(
     kind: str,
-    pooled: np.ndarray,
+    xs: np.ndarray,
     row_sums: np.ndarray,
-    sigma: float | None,
+    order: np.ndarray,
     m: int,
     permutations: int,
     rng: np.random.Generator | None,
 ) -> tuple[float, float]:
+    # xs, row_sums and order as _pooled_matrix returns them; the first m
+    # points of the pool are the first set.
     total = float(row_sums.sum())
     # Shuffling the sorted pool makes the stream a function of the pooled
     # multiset rather than the input ordering, so swapping the two samples
     # (at equal sizes) yields the identical p-value. A shuffle's first m
-    # positions are then the ranks of the first set.
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty_like(order)
-    ranks[order] = np.arange(order.size)
-    xs, sums = pooled[order], row_sums[order]
-    if kind == "mmd2":
-        xs = _prescale(xs, sigma)
-    observed = _stat_from_blocks(kind, xs, sums, total, ranks, m)
+    # positions are the ranks of a first set.
+    observed = _stat_from_blocks(kind, xs, row_sums, total, np.flatnonzero(order < m))
     floor = observed - TIE_TOLERANCE * max(abs(observed), total / (xs.size - m) ** 2)
     count = 0
     for _ in range(permutations):
-        if _stat_from_blocks(kind, xs, sums, total, rng.permutation(xs.size), m) >= floor:
+        ranks = np.sort(rng.permutation(xs.size)[:m])
+        if _stat_from_blocks(kind, xs, row_sums, total, ranks) >= floor:
             count += 1
     return observed, (count + 1) / (permutations + 1)
 
@@ -400,8 +394,8 @@ def two_sample_test(x, y, config: TestConfig = TestConfig()) -> TestOutcome:
     _check_sizes(config.statistic, xa.size, ya.size)
     pooled = np.concatenate([xa, ya])
     sigma = median_heuristic(pooled, seed=rng) if config.statistic == "mmd2" else None
-    row_sums = _pooled_matrix(config.statistic, pooled, sigma)
-    observed, p_value = _fast_permutation_pvalue(config.statistic, pooled, row_sums, sigma,
+    order, xs, row_sums = _pooled_matrix(config.statistic, pooled, sigma)
+    observed, p_value = _fast_permutation_pvalue(config.statistic, xs, row_sums, order,
                                                  xa.size, config.permutations, rng)
     return TestOutcome(statistic_observed=float(observed), p_value=float(p_value), bandwidth_sigma=sigma)
 
