@@ -76,11 +76,7 @@ def _positive_int(text: str) -> int:
 def _read_column(path: str) -> np.ndarray:
     """Single-column numeric text file; errors cite file and line number."""
     values = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as err:
-        raise SystemExit(f"cannot open {path}: {err}")
-    with fh:
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -88,9 +84,9 @@ def _read_column(path: str) -> np.ndarray:
             try:
                 values.append(float(text))
             except ValueError:
-                raise SystemExit(f"{path}: line {lineno}: not a number: {text!r}")
+                raise ValueError(f"{path}: line {lineno}: not a number: {text!r}") from None
     if not values:
-        raise SystemExit(f"{path}: no numeric values found")
+        raise ValueError(f"{path}: no numeric values found")
     return np.array(values, dtype=np.float64)
 
 
@@ -109,16 +105,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats_test(args: argparse.Namespace) -> int:
-    x = _read_column(args.file_x)
-    y = _read_column(args.file_y)
     try:
+        x = _read_column(args.file_x)
+        y = _read_column(args.file_y)
         cfg = TestConfig(
             permutations=args.permutations if args.permutations is not None else 199,
             statistic=args.statistic,
             seed=_default_seed(args),
         )
         outcome = two_sample_test(x, y, cfg)
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     record = {
@@ -185,13 +181,16 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         if "p_value" in cand:
             sigma = f"sigma {cand['sigma']:.6g}, " if "sigma" in cand else ""
             lines.append(f"    statistic {cand['statistic']:.6g}, {sigma}"
-                         f"p {cand['p_value']:.4g}, bh_kept {cand['bh_kept']}")
+                         f"p {cand['p_value']:.4g}, permutations_run {cand['permutations_run']}, "
+                         f"bh_kept {cand['bh_kept']}")
     l3 = report.get("l3")
     if l3:
         check = l3["checks"][0]
         lines.append(f"  L3 case gate: {'pass' if l3['passed'] else 'FAIL'} "
                      f"(s_star {check['observed']:.4g} vs {check['threshold']:.4g})")
-    lines.append(f"  final: {'positive' if report.get('final_positive') else 'negative (empty mask)'}")
+    final = ("failed" if "error" in report
+             else "positive" if report.get("final_positive") else "negative (empty mask)")
+    lines.append(f"  final: {final}")
     timing = report.get("timing")
     if timing:
         # Pipeline order, not the file's sorted key order.

@@ -18,7 +18,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .grid import BinaryMask, ScalarGrid, binarize
 from .metrics import MetricsReport
 from .segmentor import SegmentorRequest
 from .sgrid import read_mask, read_sgrid
-from .stats import MIN_SAMPLE_SIZE, TestOutcome, bh_fdr, derive_seed, two_sample_test
+from .stats import (MIN_SAMPLE_SIZE, TestOutcome, bh_fdr, derive_seed, family_permutations,
+                    two_sample_test)
 
 # The stages process_case times into report["timing"], in pipeline order.
 TIMING_STAGES = ("rois", "fusion", "l1", "candidates", "screen", "gates")
@@ -161,6 +162,7 @@ def _candidate_record(c: CandidateRegion, outcome: TestOutcome | None, l2: GateV
         if outcome.bandwidth_sigma is not None:
             rec["sigma"] = outcome.bandwidth_sigma
         rec["p_value"] = outcome.p_value
+        rec["permutations_run"] = outcome.permutations_run
         rec["bh_kept"] = outcome.bh_kept
     if l2 is not None:
         rec["l2"] = l2.to_dict()
@@ -233,15 +235,16 @@ def process_case(
         need = MIN_SAMPLE_SIZE[cfg.statistical.statistic]
         tested = [c for c in cands if c.area >= need]
         untestable = {c.id for c in cands if c.area < need}
+        # B grows with the family so that a lone candidate can pass BH; each
+        # test stops once its p-value is certain to exceed alpha, which
+        # leaves every BH decision as the full run's.
+        alpha = cfg.statistical.alpha
+        params = replace(cfg.statistical, permutations=family_permutations(
+            cfg.statistical.permutations, alpha, len(tested)))
         for c in tested:
             cand_feat = feat[c.pixels[:, 1], c.pixels[:, 0]]
-            cfg_c = cfg.statistical.test_config(seed=derive_seed(base_seed, image_id, c.id))
-            outcomes[c.id] = two_sample_test(cand_feat, control_feat, cfg_c)
-        alpha, floor = cfg.statistical.alpha, 1.0 / (cfg.statistical.permutations + 1)
-        if tested and floor > alpha / len(tested):  # BH's rank-1 threshold alpha/K
-            warnings.append(f"BH resolution floor: the smallest p-value 1/(B+1) = {floor:.4g} "
-                            f"exceeds alpha/K at {len(tested)} tested candidates, so a lone "
-                            f"candidate cannot be kept")
+            cfg_c = params.test_config(seed=derive_seed(base_seed, image_id, c.id))
+            outcomes[c.id] = two_sample_test(cand_feat, control_feat, cfg_c, stop_above=alpha)
         kept_flags = bh_fdr([outcomes[c.id].p_value for c in tested], alpha)
         for c, kept in zip(tested, kept_flags):
             outcomes[c.id].bh_kept = bool(kept)

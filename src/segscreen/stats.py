@@ -5,8 +5,8 @@ Samples are 1-D numpy arrays of scalar features; the pipeline's feature
 is min-max normalized intensity, one value per pixel. Every statistic
 is built from the pairwise distances |x_i - x_j|, and none holds the
 (m + n)^2 pooled matrix: memory is O((m + n) + block), time per
-permutation O(m^2 / 2) for MMD^2 and O(m log m + n) for energy, with m
-the first set's size.
+permutation O(m^2 / 2) for MMD^2 and O(m log m) for energy, with m the
+first set's size.
 
 - The MMD^2 kernel bandwidth is the exact median pairwise distance of
   the observed pool, selected from the sorted pool in O(N log N)
@@ -19,6 +19,24 @@ the first set's size.
 - The energy statistic's distance sums come from sorted prefix sums
   (Huo & Szekely 2016); it has no bandwidth.
 
+Each permutation draws its first set with one
+``rng.choice(N, m, replace=False)`` call, in order. Permutations run in
+chunks whose statistics are computed together as (chunk, m) arrays;
+the observed statistic is a chunk of one. A chunk of c permutations
+stays within KERNEL_BLOCK_ELEMENTS values, counted as
+c * ((m - 1) // 2) * m kernel values for MMD^2 and c * N for energy; a
+single larger MMD^2 permutation is split into blocks of band rows.
+
+Given a stop level, a test ends at the h-th permuted statistic that
+reaches the observed one, h the number of attainable p-values
+k / (B + 1) at or below that level (Besag & Clifford 1991). Its p-value
+is then certain to exceed the level, and it reports the lower bound
+(h + 1) / (B + 1) and the index of that exceedance as the permutations
+run; neither depends on the chunk size. BH never keeps a p-value above
+alpha, and such a p-value does not change the rank of any p <= alpha,
+so a screen stopped at alpha makes the decisions of the full run on
+the same stream.
+
 A permuted statistic that reaches the observed one up to a rounding
 tolerance (TIE_TOLERANCE) counts as a tie. Smoothed counting
 (count + 1) / (B + 1) keeps every p-value strictly positive.
@@ -27,13 +45,14 @@ tolerance (TIE_TOLERANCE) counts as a tie. Smoothed counting
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import kolmogorov
 
-MEDIAN_HEURISTIC_MAX_POINTS = 2000
-# Most float64 values in one on-the-fly block of the Gaussian kernel (1 MiB).
+# Most float64 values in one on-the-fly block of the Gaussian kernel, and in
+# one chunk of permutations' statistics (1 MiB).
 # The pooled row sums compute each row block's diagonal square twice, about
 # KERNEL_BLOCK_ELEMENTS / 2 values per test on top of the N^2 / 2 pairs: at
 # N = 1440 that is 6 % more with this budget and 50 % more with 8 MiB.
@@ -142,21 +161,18 @@ def _kth_difference(xs: np.ndarray, k: int) -> float:
         lo = upto
 
 
-def median_heuristic(pooled, max_points: int = MEDIAN_HEURISTIC_MAX_POINTS, seed=0) -> float:
+def median_heuristic(pooled) -> float:
     """Median of pairwise distances |x_i - x_j|, i < j, over the pooled sample.
 
     Selected exactly from the sorted pool in O(N log N) time and O(N)
     memory, without listing the N(N - 1)/2 distances; an even count
-    averages the two middle ones, as np.median does. Pools above
-    ``max_points`` are first uniformly subsampled with ``seed``. Constant
-    data (zero median) falls back to sigma = 1 so the kernel degenerates
-    to a constant and the test never rejects.
+    averages the two middle ones, as np.median does. Constant data (zero
+    median) falls back to sigma = 1 so the kernel degenerates to a
+    constant and the test never rejects.
     """
     arr = as_sample(pooled)
     if arr.size < 2:
         raise ValueError("median heuristic needs at least 2 points")
-    if arr.size > max_points:
-        arr = subsample(arr, max_points, seed)
     xs = np.sort(arr)
     pairs = xs.size * (xs.size - 1) // 2
     med = _kth_difference(xs, (pairs - 1) // 2)
@@ -220,24 +236,26 @@ def _kernel_row_sums(z: np.ndarray) -> np.ndarray:
     return sums[np.searchsorted(z, z, side="left")]
 
 
-def _within_sum(z: np.ndarray) -> float:
-    # Sum of the kernel of a sorted, prescaled set over all ordered pairs,
-    # diagonal included: m + 2 sum_{i<j}. The pairs (i, i + k mod m) for
-    # k = 1..h, h = (m - 1) // 2, hold each unordered pair once, plus the
-    # half-row k = m / 2 when m is even. Row k - 1 of the circulant band is
-    # z[k .. k + m) of z doubled: a strided view, no index matrix.
-    m = z.size
+def _within_sum(z: np.ndarray) -> np.ndarray:
+    # Per row of a (c, m) array of sorted, prescaled sets, the kernel summed
+    # over all ordered pairs, diagonal included: m + 2 sum_{i<j}. The pairs
+    # (i, i + k mod m) for k = 1..h, h = (m - 1) // 2, hold each unordered
+    # pair once, plus the half-row k = m / 2 when m is even. Band row k - 1
+    # of a set is z[k .. k + m) of the set doubled: a strided view, no index
+    # matrix. Bands of more than KERNEL_BLOCK_ELEMENTS values are split into
+    # blocks of band rows.
+    c, m = z.shape
     h = (m - 1) // 2
-    doubled = np.concatenate([z, z[:h]])
+    doubled = np.concatenate([z, z[:, :h]], axis=1)
     size = doubled.itemsize
-    step = max(1, KERNEL_BLOCK_ELEMENTS // m)
-    half = 0.0
+    step = max(1, KERNEL_BLOCK_ELEMENTS // (c * m))
+    half = np.zeros(c)
     for start in range(0, h, step):
-        band = np.ndarray((min(step, h - start), m), dtype=doubled.dtype, buffer=doubled,
-                          offset=(start + 1) * size, strides=(size, size))
-        half += float(_exp_neg_square(band - z).sum())
+        band = np.ndarray((c, min(step, h - start), m), dtype=doubled.dtype, buffer=doubled,
+                          offset=(start + 1) * size, strides=(doubled.strides[0], size, size))
+        half += _exp_neg_square(band - z[:, None, :]).sum(axis=(1, 2))
     if m % 2 == 0:
-        half += float(_exp_neg_square(z[m // 2:] - z[:m // 2]).sum())
+        half += _exp_neg_square(z[:, m // 2:] - z[:, :m // 2]).sum(axis=1)
     return m + 2.0 * half
 
 
@@ -258,21 +276,22 @@ def _pooled_matrix(kind: str, pooled: np.ndarray,
 
 
 def _stat_from_blocks(kind: str, xs: np.ndarray, sums: np.ndarray, total: float,
-                      ranks: np.ndarray) -> float:
-    # The statistic of the split that puts the points at the sorted ranks
-    # ``ranks`` of the sorted pool xs (prescaled for MMD^2) in the first set
-    # and the rest in the second; ``sums`` are the row sums of xs and
-    # ``total`` their sum. Sorted ranks make every sum a function of the
-    # first set's multiset.
-    m = ranks.size
+                      ranks: np.ndarray) -> np.ndarray:
+    # The statistics of the splits whose first sets are the rows of the
+    # (c, m) array ``ranks``: sorted ranks into the sorted pool xs
+    # (prescaled for MMD^2), the rest of the pool forming the second set;
+    # ``sums`` are the row sums of xs and ``total`` their sum. Sorted ranks
+    # make every sum a function of the first set's multiset.
+    m = ranks.shape[1]
     n = xs.size - m
+    values = xs[ranks]
     if kind == "mmd2":
-        s_aa = _within_sum(xs[ranks])
+        s_aa = _within_sum(values)
     else:
-        # The set's k-th smallest value exceeds k others and falls short of
+        # A set's k-th smallest value exceeds k others and falls short of
         # m - 1 - k, once per ordered pair.
-        s_aa = 2.0 * float((xs[ranks] * (2 * np.arange(m) - (m - 1))).sum())
-    s_ab = float(sums[ranks].sum()) - s_aa
+        s_aa = 2.0 * (values * (2 * np.arange(m) - (m - 1))).sum(axis=1)
+    s_ab = sums[ranks].sum(axis=1) - s_aa
     s_bb = total - s_aa - 2.0 * s_ab
     if kind == "mmd2":
         # Gaussian kernel diagonal is exactly m (resp. n) ones.
@@ -297,7 +316,7 @@ def _statistic(kind: str, x, y, sigma: float | None = None) -> float:
     _check_sizes(kind, xa.size, ya.size)
     # The observed statistic of a test without permutations.
     order, xs, row_sums = _pooled_matrix(kind, np.concatenate([xa, ya]), sigma)
-    return _fast_permutation_pvalue(kind, xs, row_sums, order, xa.size, 0, None)[0]
+    return _fast_permutation_pvalue(kind, xs, row_sums, order, xa.size, 0, None, None)[0]
 
 
 def mmd2_unbiased(x, y, sigma: float) -> float:
@@ -328,22 +347,40 @@ def _fast_permutation_pvalue(
     m: int,
     permutations: int,
     rng: np.random.Generator | None,
-) -> tuple[float, float]:
+    stop_above: float | None,
+) -> tuple[float, float, int]:
     # xs, row_sums and order as _pooled_matrix returns them; the first m
-    # points of the pool are the first set.
+    # points of the pool are the first set. Returns the observed statistic,
+    # the p-value and the permutations run.
     total = float(row_sums.sum())
-    # Shuffling the sorted pool makes the stream a function of the pooled
-    # multiset rather than the input ordering, so swapping the two samples
-    # (at equal sizes) yields the identical p-value. A shuffle's first m
-    # positions are the ranks of a first set.
-    observed = _stat_from_blocks(kind, xs, row_sums, total, np.flatnonzero(order < m))
+    observed = float(_stat_from_blocks(kind, xs, row_sums, total,
+                                       np.flatnonzero(order < m)[None, :])[0])
     floor = observed - TIE_TOLERANCE * max(abs(observed), total / (xs.size - m) ** 2)
-    count = 0
-    for _ in range(permutations):
-        ranks = np.sort(rng.permutation(xs.size)[:m])
-        if _stat_from_blocks(kind, xs, row_sums, total, ranks) >= floor:
-            count += 1
-    return observed, (count + 1) / (permutations + 1)
+    # Stop at the h-th exceedance, h the number of attainable p-values
+    # k / (B + 1) at or below stop_above. It is counted rather than taken as
+    # floor(stop_above * (B + 1)): that product can round below an integer
+    # (0.29 * 100 = 28.999...), and the reported (h + 1) / (B + 1) would then
+    # equal stop_above instead of exceeding it.
+    h = permutations + 1
+    if stop_above is not None:
+        h = int(np.count_nonzero(np.arange(1, permutations + 2) / (permutations + 1) <= stop_above))
+    per_permutation = (m - 1) // 2 * m if kind == "mmd2" else xs.size
+    chunk = max(1, KERNEL_BLOCK_ELEMENTS // max(1, per_permutation))
+    count = run = 0
+    while run < permutations and count < h:
+        # A chunk holds no more permutations than the h - count it takes at
+        # least to reach h, so a stop falls on a chunk's last permutation
+        # and none is drawn past it. Drawing from the sorted pool makes the
+        # stream a function of the pooled multiset rather than the input
+        # ordering, so swapping the two samples (at equal sizes) yields the
+        # identical p-value.
+        ranks = np.empty((min(chunk, permutations - run, h - count), m), dtype=np.int64)
+        for row in ranks:
+            row[:] = rng.choice(xs.size, m, replace=False)
+        ranks.sort(axis=1)
+        count += int(np.count_nonzero(_stat_from_blocks(kind, xs, row_sums, total, ranks) >= floor))
+        run += len(ranks)
+    return observed, (count + 1) / (permutations + 1), run
 
 
 @dataclass(frozen=True)
@@ -369,35 +406,59 @@ class TestConfig:
 @dataclass
 class TestOutcome:
     """Observed statistic, permutation p-value and the BH decision;
-    ``bandwidth_sigma`` is the MMD^2 kernel bandwidth, None for energy."""
+    ``bandwidth_sigma`` is the MMD^2 kernel bandwidth, None for energy;
+    ``permutations_run`` is B unless the test stopped early."""
 
     __test__ = False  # not a pytest class, despite the name
 
     statistic_observed: float
     p_value: float
     bandwidth_sigma: float | None
+    permutations_run: int
     bh_kept: bool = False
 
 
-def two_sample_test(x, y, config: TestConfig = TestConfig()) -> TestOutcome:
+def two_sample_test(x, y, config: TestConfig = TestConfig(),
+                    stop_above: float | None = None) -> TestOutcome:
     """Run the configured two-sample screen on one candidate/control pair.
 
     Both sets are capped by uniform subsampling, the MMD^2 bandwidth
     comes from the median heuristic on the observed pooled sample, and
-    the permutation p-value uses smoothed counting. Deterministic given
-    (inputs, config.seed); bh_kept is left False for a later
-    multiple-testing pass to fill in.
+    the permutation p-value uses smoothed counting. With ``stop_above``
+    set, the test stops once its p-value is certain to exceed that level,
+    at the h-th exceedance with h the number of attainable p-values
+    k / (B + 1) at or below it, and reports the lower bound
+    (h + 1) / (B + 1); a p-value at or below the level equals that of the
+    full run. Deterministic given (inputs, config.seed); bh_kept is left
+    False for a later multiple-testing pass to fill in.
     """
     rng = np.random.default_rng(config.seed)
     xa = subsample(x, config.sample_cap, rng)
     ya = subsample(y, config.sample_cap, rng)
     _check_sizes(config.statistic, xa.size, ya.size)
     pooled = np.concatenate([xa, ya])
-    sigma = median_heuristic(pooled, seed=rng) if config.statistic == "mmd2" else None
+    sigma = median_heuristic(pooled) if config.statistic == "mmd2" else None
     order, xs, row_sums = _pooled_matrix(config.statistic, pooled, sigma)
-    observed, p_value = _fast_permutation_pvalue(config.statistic, xs, row_sums, order,
-                                                 xa.size, config.permutations, rng)
-    return TestOutcome(statistic_observed=float(observed), p_value=float(p_value), bandwidth_sigma=sigma)
+    observed, p_value, run = _fast_permutation_pvalue(config.statistic, xs, row_sums, order,
+                                                      xa.size, config.permutations, rng,
+                                                      stop_above)
+    return TestOutcome(statistic_observed=observed, p_value=float(p_value),
+                       bandwidth_sigma=sigma, permutations_run=run)
+
+
+def family_permutations(permutations: int, alpha: float, family_size: int) -> int:
+    """Permutations per test in a BH family of ``family_size`` tests.
+
+    B_K = max(B, ceil(K / alpha) - 1), so that the smallest p-value
+    1 / (B_K + 1) passes BH's rank-1 threshold alpha / K and a lone
+    candidate can be kept (Phipson & Smyth 2010); it equals B for
+    K <= alpha (B + 1). The loop settles the rounding of K / alpha
+    against the threshold as bh_fdr computes it.
+    """
+    b = max(permutations, math.ceil(family_size / alpha) - 1)
+    while family_size and 1.0 / (b + 1) > alpha / family_size:
+        b += 1
+    return b
 
 
 def bh_fdr(p_values, alpha: float) -> np.ndarray:

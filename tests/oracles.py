@@ -123,14 +123,15 @@ def permutation_test(x, y, statistic_fn, permutations: int = 199, seed=0,
                      tie_scale: float = 0.0) -> float:
     """Permutation p-value for any two-sample statistic of 1-D samples.
 
-    Pools the samples, reshuffles into the original sizes B times and
-    counts permuted statistics that reach the observed one up to the tie
-    tolerance, taken against ``tie_scale`` where that exceeds |observed|;
-    returns the smoothed estimate (count + 1) / (B + 1). The statistic
-    callable must close over any bandwidth so it is not re-estimated per
-    permutation. The pooled values are sorted first, as the library
-    orders them, so that both draw the same partitions from the same
-    seed.
+    Pools the samples, splits them into the original sizes B times, each
+    time drawing the first set's positions with one
+    ``rng.choice(N, m, replace=False)``, and counts permuted statistics
+    that reach the observed one up to the tie tolerance, taken against
+    ``tie_scale`` where that exceeds |observed|; returns the smoothed
+    estimate (count + 1) / (B + 1). The statistic callable must close over
+    any bandwidth so it is not re-estimated per permutation. The pooled
+    values are sorted first, as the library orders them, so that both draw
+    the same partitions from the same seed.
     """
     if permutations < 1:
         raise ValueError(f"need at least 1 permutation, got {permutations}")
@@ -143,8 +144,9 @@ def permutation_test(x, y, statistic_fn, permutations: int = 199, seed=0,
     rng = np.random.default_rng(seed)
     count = 0
     for _ in range(permutations):
-        perm = rng.permutation(pooled.size)
-        if float(statistic_fn(pooled[perm[:m]], pooled[perm[m:]])) >= floor:
+        first = np.zeros(pooled.size, dtype=bool)
+        first[rng.choice(pooled.size, m, replace=False)] = True
+        if float(statistic_fn(pooled[first], pooled[~first])) >= floor:
             count += 1
     return (count + 1) / (permutations + 1)
 
@@ -157,10 +159,10 @@ def dense_two_sample_test(x, y, permutations: int = 199, sample_cap: int = 4000,
                           statistic: str = "mmd2", seed=0) -> tuple[float, float | None, float]:
     """The permutation screen over the full (m + n)^2 pooled matrix.
 
-    Same draws from ``seed`` as the library: the two subsamples, the
-    median-heuristic subsample above 2000 points (median by np.median
-    over every pair) and one shuffle of the sorted pool per permutation.
-    Returns (statistic, sigma, p-value); sigma is None for energy.
+    Same draws from ``seed`` as the library: the two subsamples, then per
+    permutation one ``rng.choice`` of the first set's positions in the
+    sorted pool. Sigma is np.median over every pair. Returns (statistic,
+    sigma, p-value); sigma is None for energy.
     """
     rng = np.random.default_rng(seed)
     xa = _draw(np.asarray(x, dtype=float), sample_cap, rng)
@@ -169,8 +171,7 @@ def dense_two_sample_test(x, y, permutations: int = 199, sample_cap: int = 4000,
     matrix = np.abs(pooled[:, None] - pooled[None, :])
     sigma = None
     if statistic == "mmd2":
-        sub = _draw(pooled, 2000, rng)
-        sigma = float(np.median(np.abs(sub[:, None] - sub[None, :])[np.triu_indices(sub.size, k=1)]))
+        sigma = float(np.median(matrix[np.triu_indices(pooled.size, k=1)]))
         sigma = sigma if sigma > 0.0 else 1.0
         np.multiply(matrix, matrix, out=matrix)
         np.divide(matrix, -2.0 * sigma * sigma, out=matrix)
@@ -196,15 +197,16 @@ def _dense_statistic(kind: str, matrix: np.ndarray, row_sums: np.ndarray, total:
 def dense_permutation_pvalue(kind: str, matrix: np.ndarray, m: int, permutations: int,
                              rng: np.random.Generator, canonical: np.ndarray) -> tuple[float, float]:
     """Observed statistic and p-value from block sums of the pooled matrix;
-    ``canonical`` orders the pool before each shuffle."""
+    each permutation's first set holds the points at ``rng.choice``
+    positions of the pool in ``canonical`` order."""
     row_sums = matrix.sum(axis=1)
     total = float(row_sums.sum())
     observed = _dense_statistic(kind, matrix, row_sums, total, np.arange(m))
     floor = observed - TIE_TOLERANCE * max(abs(observed), total / (matrix.shape[0] - m) ** 2)
     count = 0
     for _ in range(permutations):
-        perm = canonical[rng.permutation(canonical.size)]
-        if _dense_statistic(kind, matrix, row_sums, total, perm[:m]) >= floor:
+        first = canonical[rng.choice(canonical.size, m, replace=False)]
+        if _dense_statistic(kind, matrix, row_sums, total, first) >= floor:
             count += 1
     return observed, (count + 1) / (permutations + 1)
 

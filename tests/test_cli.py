@@ -48,24 +48,26 @@ class TestStatsTestCommand:
         assert record["kind"] == "energy"
         assert "sigma" not in record
 
-    def test_malformed_line_cites_location(self, tmp_path):
+    def test_malformed_line_cites_location(self, tmp_path, capsys):
         fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
         lines = [str(float(i)) for i in range(16)] + ["oops"] + ["3.0"]
         fx.write_text("\n".join(lines) + "\n")
         write_column(fy, [1.0, 2.0])
-        with pytest.raises(SystemExit, match="line 17"):
-            main(["stats-test", str(fx), str(fy)])
+        assert main(["stats-test", str(fx), str(fy)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {fx}: line 17: not a number")
 
-    def test_missing_file(self, tmp_path):
+    def test_missing_file(self, tmp_path, capsys):
         fy = tmp_path / "y.txt"
         write_column(fy, [1.0])
-        with pytest.raises(SystemExit, match="cannot open"):
-            main(["stats-test", str(tmp_path / "nope.txt"), str(fy)])
+        assert main(["stats-test", str(tmp_path / "nope.txt"), str(fy)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.txt" in err
 
     @pytest.mark.parametrize("x_values, flags, message", [
         ([0.1 * i for i in range(20)], ["--permutations", "5"], "permutations"),
         ([0.5], [], "mmd2 needs >= 2 points per set"),
         ([0.1, "nan", 0.3], [], "non-finite"),
+        ([], [], "no numeric values found"),
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, x_values, flags, message):
         fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
@@ -257,16 +259,21 @@ class TestInspectCommand:
         assert set(printed) == set(report["timing"])
         assert "sigma" in text and "warning" not in text
 
-        # Energy candidates carry no sigma; 19 permutations over the two
-        # tested candidates set off the BH resolution floor warning.
+        # Energy candidates carry no sigma. With 19 permutations B is sized
+        # to the tested family, ceil(K / alpha) - 1, and no warning is due.
         main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "energy"),
               "--statistic", "energy", "--permutations", "19"])
         capsys.readouterr()
-        rc = main(["inspect", str(tmp_path / "energy" / "reports" / "case0000.json")])
+        path = tmp_path / "energy" / "reports" / "case0000.json"
+        rc = main(["inspect", str(path)])
         assert rc == 0
         text = capsys.readouterr().out
-        assert "warning: BH resolution floor" in text
-        assert "statistic " in text and "sigma" not in text
+        assert "statistic " in text and "sigma" not in text and "warning" not in text
+        tested = [c for c in json.loads(path.read_text())["candidates"] if "p_value" in c]
+        assert len(tested) >= 2
+        for cand in tested:
+            assert f"permutations_run {cand['permutations_run']}," in text
+            assert cand["permutations_run"] <= 20 * len(tested) - 1
 
     def test_failed_image_report_carries_traceback_tail(self, tmp_path, capsys):
         manifest = write_dataset(tmp_path, n_cases=2, seed=5)
@@ -287,6 +294,7 @@ class TestInspectCommand:
         text = capsys.readouterr().out
         assert f"FAILED: {report['error']}" in text
         assert all(line in text for line in tail)
+        assert "final: failed" in text and "negative" not in text
 
     def test_inspect_missing_file(self, tmp_path, capsys):
         rc = main(["inspect", str(tmp_path / "none.json")])

@@ -165,27 +165,42 @@ class TestProcessCase:
         tested = [c for c in cands.values() if c["area"] > 1]
         assert tested and all("p_value" in c for c in tested)
 
-    def test_bh_resolution_floor_warning(self):
-        # With B = 19 the smallest p-value 1/20 exceeds alpha/K = 0.025 at
-        # K = 2 tested candidates; B = 199 gives 1/200, within 0.05/K
-        # for K <= 10. The warning changes no decision.
-        spec = BenchSpec(n_cases=1, seed=3)
-        case = make_case(spec, 0)
-        plan = AnatomyPlan(anchors=("organ",), tumor_prompt="tumor", padding_mm=(25.0, 25.0),
-                           square=True)
-        reports = {}
-        for permutations in (19, 199):
-            cfg = GateConfig().override(permutations=permutations)
-            backend = SyntheticBackend({case.image_id: case.scene})
-            reports[permutations] = process_case(case.image_id, case.intensity, plan, backend,
-                                                 cfg).report
-        tested = [c for c in reports[19]["candidates"] if "p_value" in c]
-        assert len(tested) >= 2
-        floor = [w for w in reports[19]["warnings"] if w.startswith("BH resolution floor")]
-        assert len(floor) == 1 and f"at {len(tested)} tested candidates" in floor[0]
-        assert not bh_fdr([1 / 20] + [1.0] * (len(tested) - 1), 0.05).any()
-        assert reports[199]["warnings"] == []
-        assert bh_fdr([1 / 200] + [1.0] * (len(tested) - 1), 0.05).any()
+    def test_family_sized_permutations_keep_lone_lesion(self):
+        # One lesion among 10 null candidates, K = 11: at B = 199 the
+        # smallest p-value 1/200 exceeds BH's rank-1 threshold 0.05/11, so
+        # nothing could be kept. B grows to 219 for the family, the lesion
+        # reaches 1/220 and is kept, and each null stops at its 11th
+        # exceedance with p = 12/220.
+        assert not bh_fdr([1 / 200] + [1.0] * 10, 0.05).any()
+        rng = np.random.default_rng(101)
+        size, c = 200, 99.5
+        organ, lesion = Blob(c, c, 30.0, 0.9), Blob(c + 6.0, c - 5.0, 6.0, 0.9)
+        clutter = [Blob(c + 75.0 * np.cos(0.2 * np.pi * k), c + 75.0 * np.sin(0.2 * np.pi * k),
+                        5.0, 0.9) for k in range(10)]
+        scene = SyntheticSceneSpec(frame=(size, size), organ_blobs=(organ,),
+                                   lesion_blobs=(lesion, *clutter), noise_floor=0.05)
+        ys, xs = np.mgrid[0:size, 0:size]
+
+        def disc(b, r):
+            return (xs - b.cx) ** 2 + (ys - b.cy) ** 2 <= r * r
+
+        intensity = rng.normal(0.3, 0.05, size=(size, size))
+        null = disc(organ, 33.0) | np.any([disc(b, 9.0) for b in clutter], axis=0)
+        intensity[null] = rng.normal(0.5, 0.08, size=int(null.sum()))
+        shifted = disc(lesion, 8.0)
+        intensity[shifted] = rng.normal(0.66, 0.08, size=int(shifted.sum()))
+        plan = AnatomyPlan(anchors=("organ",), tumor_prompt="tumor")
+        report = process_case("img", ScalarGrid(intensity), plan, SyntheticBackend({"img": scene}),
+                              GateConfig()).report
+        cands = report["candidates"]
+        assert len(cands) == 11 and all("p_value" in cand for cand in cands)
+        kept = [cand for cand in cands if cand["decision"] == "kept"]
+        assert len(kept) == 1 and kept[0]["area"] > 150
+        assert (kept[0]["p_value"], kept[0]["permutations_run"]) == (1 / 220, 219)
+        for cand in cands:
+            if cand is not kept[0]:
+                assert cand["decision"] == "rejected:statistical"
+                assert cand["p_value"] == 12 / 220 and cand["permutations_run"] < 219
 
 
 def strip_timing(report: dict) -> dict:

@@ -2,8 +2,12 @@ import math
 import time
 import tracemalloc
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segscreen import stats
 from segscreen.stats import (
@@ -46,12 +50,12 @@ class TestMedianHeuristic:
         with pytest.raises(ValueError):
             median_heuristic([1.0])
 
-    def test_subsampled_path_is_deterministic(self):
+    def test_large_pool_median_is_exact(self):
+        # Every point counts at any pool size: 2100 points, 2.2M pairs.
         rng = np.random.default_rng(50)
-        data = rng.normal(size=3000)
-        assert median_heuristic(data, max_points=500, seed=1) == median_heuristic(
-            data, max_points=500, seed=1
-        )
+        xs = np.sort(rng.normal(size=2100))
+        pairs = np.concatenate([xs[i + 1:] - xs[i] for i in range(xs.size - 1)])
+        assert median_heuristic(xs[rng.permutation(xs.size)]) == float(np.median(pairs))
 
     def test_equals_median_by_definition_exactly(self):
         rng = np.random.default_rng(49)
@@ -283,15 +287,16 @@ class TestTwoSampleTest:
     @pytest.mark.parametrize("budget", [stats.KERNEL_BLOCK_ELEMENTS, 64])
     def test_half_kernel_equals_within_sum_by_definition(self, monkeypatch, budget):
         # m + 2 * (circulant half-kernel) against the exactly rounded sum
-        # over ordered pairs, odd and even m, in one block or many.
+        # over ordered pairs, odd and even m, for a batch of three sets, in
+        # one block or many.
         monkeypatch.setattr(stats, "KERNEL_BLOCK_ELEMENTS", budget)
         rng = np.random.default_rng(76)
         sizes = list(range(2, 10)) + [int(v) for v in rng.integers(10, 301, size=6)] + [200, 201]
         for m in sizes:
-            x = rng.normal(size=m)
+            sets = rng.normal(size=(3, m))
             sigma = float(rng.uniform(0.2, 2.0))
-            s_aa = stats._within_sum(stats._prescale(np.sort(x), sigma))
-            expected = m + within_kernel_sum_by_definition(x, sigma)
+            s_aa = stats._within_sum(stats._prescale(np.sort(sets, axis=1), sigma))
+            expected = [m + within_kernel_sum_by_definition(x, sigma) for x in sets]
             assert s_aa == pytest.approx(expected, rel=1e-13), m
 
     def test_mmd2_larger_first_set_matches_references(self):
@@ -380,6 +385,67 @@ class TestTwoSampleTest:
             return best
         t1, t2 = runtime(150), runtime(300)
         assert t2 / t1 < 10.0  # quadratic predicts 4; generous slack for noise
+
+
+class TestSequentialStop:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), family=st.integers(1, 5),
+           alpha=st.sampled_from([0.01, 0.05, 0.1, 0.2]), permutations=st.integers(19, 99),
+           statistic=st.sampled_from(stats.STATISTIC_KINDS))
+    def test_stopped_run_keeps_full_run_decisions(self, seed, family, alpha, permutations,
+                                                  statistic):
+        # Each family member runs in full and stopped at alpha, the latter
+        # also in 64-value chunks. A p <= alpha is the full run's, a larger
+        # one the bound (h + 1) / (B + 1) above alpha, and BH keeps the same
+        # candidates. A stopped run ends at the h-th exceedance of the
+        # oracle's replay of the same stream.
+        rng = np.random.default_rng(seed)
+        full, stopped = [], []
+        for i in range(family):
+            x = rng.normal(float(rng.uniform(0.0, 1.5)), 1.0, size=int(rng.integers(2, 30)))
+            y = rng.normal(size=int(rng.integers(2, 60)))
+            cfg = TestConfig(permutations=permutations, statistic=statistic, seed=seed + i)
+            full.append(two_sample_test(x, y, cfg))
+            stopped.append(two_sample_test(x, y, cfg, stop_above=alpha))
+            with mock.patch.object(stats, "KERNEL_BLOCK_ELEMENTS", 64):
+                small = two_sample_test(x, y, cfg, stop_above=alpha)
+            assert (small.p_value, small.permutations_run) == (stopped[-1].p_value,
+                                                               stopped[-1].permutations_run)
+            f, s = full[-1], stopped[-1]
+            assert f.permutations_run == permutations
+            if f.p_value <= alpha:
+                assert (s.p_value, s.permutations_run) == (f.p_value, permutations)
+                continue
+            h = round(s.p_value * (permutations + 1)) - 1
+            assert h / (permutations + 1) <= alpha < s.p_value <= f.p_value
+            pooled = np.concatenate([x, y])
+            pairs = np.abs(pooled[:, None] - pooled[None, :])
+            if statistic == "mmd2":
+                stat = lambda a, b: mmd2_unbiased(a, b, f.bandwidth_sigma)
+                pairs = np.exp(-pairs**2 / (2.0 * f.bandwidth_sigma**2))
+            else:
+                stat = energy_distance
+            run = s.permutations_run
+            for b, count in ((run, h), (run - 1, h - 1)):
+                if b > 0:
+                    p = permutation_test(x, y, stat, b, seed=cfg.seed,
+                                         tie_scale=pairs.sum() / y.size**2)
+                    assert round(p * (b + 1)) - 1 == count
+        assert (bh_fdr([f.p_value for f in full], alpha).tolist()
+                == bh_fdr([s.p_value for s in stopped], alpha).tolist())
+
+    def test_family_permutations(self):
+        # The fewest B >= 19 whose smallest p-value 1 / (B + 1) bh_fdr keeps
+        # as a lone candidate among K, also where alpha / K rounds below
+        # 1 / ceil(K / alpha) (alpha = 0.03, K = 9).
+        assert stats.family_permutations(199, 0.05, 10) == 199
+        assert stats.family_permutations(199, 0.05, 11) == 219
+        assert stats.family_permutations(19, 0.05, 0) == 19
+        for alpha in (0.01, 0.03, 0.05, 0.1, 0.3):
+            for k in range(1, 300):
+                b = stats.family_permutations(19, alpha, k)
+                assert bh_fdr([1.0 / (b + 1)] + [1.0] * (k - 1), alpha)[0]
+                assert b == 19 or not bh_fdr([1.0 / b] + [1.0] * (k - 1), alpha)[0]
 
 
 class TestBhFdr:
