@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -28,7 +27,7 @@ from .gating import GateConfig, json_fields
 from .geometry import AnatomyPlan
 from .grid import BinaryMask, ScalarGrid
 from .metrics import SliceOutcome, slice_sensitivity_specificity
-from .pipeline import process_case
+from .pipeline import map_ordered, process_case
 from .segmentor import Blob, ClutterSpec, SyntheticBackend, SyntheticSceneSpec, _blob_field
 from .stats import derive_seed
 
@@ -103,6 +102,9 @@ class BenchSpec:
                 data = json.load(fh)
             except json.JSONDecodeError as err:
                 raise ValueError(f"{path}: invalid JSON in bench spec: {err}") from err
+        # The pinned layout holds the spec under "spec", next to its pinned targets.
+        if isinstance(data, dict) and set(data) - {"pinned"} == {"spec"}:
+            data = data["spec"]
         return cls.from_dict(data, source=str(path))
 
 
@@ -285,12 +287,7 @@ def run_bench(
             "l1_passed": bool(result.report.get("l1", {}).get("passed", False)),
         }
 
-    indices = list(range(spec.n_cases))
-    if jobs > 1 and len(indices) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, indices))
-    else:
-        rows = [one(i) for i in indices]
+    rows = map_ordered(one, list(range(spec.n_cases)), jobs)
 
     n_kept = sum(r["n_kept"] for r in rows)
     n_kept_true = sum(r["n_kept_true"] for r in rows)

@@ -189,11 +189,6 @@ class GateVerdict:
     checks: list[GateCheck]
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def reasons(self) -> list[GateCheck]:
-        """The failing checks; non-empty whenever the verdict failed."""
-        return [c for c in self.checks if not c.passed]
-
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,

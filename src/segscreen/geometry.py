@@ -52,12 +52,6 @@ class BoundingBox:
     def within(self, frame: tuple[int, int]) -> bool:
         return 0 <= self.x0 and 0 <= self.y0 and self.x1 <= frame[0] and self.y1 <= frame[1]
 
-    def contains(self, other: "BoundingBox") -> bool:
-        return (
-            self.x0 <= other.x0 and self.y0 <= other.y0
-            and other.x1 <= self.x1 and other.y1 <= self.y1
-        )
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.x0, self.y0, self.x1, self.y1)
 

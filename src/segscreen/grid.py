@@ -117,9 +117,6 @@ class BinaryMask:
             raise ValueError(f"mask dimensions differ: {self.frame} vs {other.frame}")
         return BinaryMask(np.logical_or(self.bits, other.bits))
 
-    def complement(self) -> "BinaryMask":
-        return BinaryMask(np.logical_not(self.bits))
-
 
 def binarize(grid: ScalarGrid, tau: float) -> BinaryMask:
     """Threshold a probability map: a bit is set exactly where value >= tau."""

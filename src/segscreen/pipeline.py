@@ -6,6 +6,11 @@ screen with BH correction across the image's candidates, the L2
 candidate gate, then the L3 case gate. A case failing L1 emits an empty
 mask without extracting candidates.
 
+Each candidate's decision is written by the stage that makes it:
+``screen_family`` writes ``rejected:untestable`` (too small to test) and
+``rejected:statistical`` (not a BH discovery), the L2 loop writes
+``rejected:L2``, and the L3 case gate ``kept`` or ``rejected:L3``.
+
 Every decision lands in a machine-readable case report; reports are
 deterministic for a fixed (inputs, config, seed) apart from the timing
 block, which is excluded from that contract.
@@ -24,7 +29,7 @@ import numpy as np
 
 from .candidates import CandidateRegion, candidates_to_mask, connected_components, describe, filter_min_area
 from .fusion import run_tta
-from .gating import GateConfig, GateVerdict, gate_candidate, gate_case, gate_existence
+from .gating import GateConfig, GateVerdict, StatisticalParams, gate_candidate, gate_case, gate_existence
 from .geometry import AnatomyPlan, boxes_to_mask, build_rois, load_plan
 from .grid import BinaryMask, ScalarGrid, binarize
 from .metrics import MetricsReport
@@ -146,8 +151,8 @@ def _jsonable(value):
     return value
 
 
-def _candidate_record(c: CandidateRegion, outcome: TestOutcome | None, l2: GateVerdict | None,
-                      decision: str) -> dict:
+def _candidate_record(c: CandidateRegion, outcome: TestOutcome | None, bh_kept: bool,
+                      l2: GateVerdict | None, decision: str) -> dict:
     rec = {
         "id": c.id,
         "area": c.area,
@@ -163,10 +168,38 @@ def _candidate_record(c: CandidateRegion, outcome: TestOutcome | None, l2: GateV
             rec["sigma"] = outcome.bandwidth_sigma
         rec["p_value"] = outcome.p_value
         rec["permutations_run"] = outcome.permutations_run
-        rec["bh_kept"] = outcome.bh_kept
+        rec["bh_kept"] = bh_kept
     if l2 is not None:
         rec["l2"] = l2.to_dict()
     return rec
+
+
+def screen_family(cands: list[CandidateRegion], feat: np.ndarray, control: np.ndarray,
+                  params: StatisticalParams, base_seed: int, image_id: str,
+                  decisions: dict[int, str]) -> tuple[dict[int, TestOutcome], list[CandidateRegion]]:
+    """Test each candidate's pixels against the control sample; keep the BH discoveries.
+
+    Each of the K candidates large enough for the statistic runs
+    B_K = family_permutations(B, alpha, K) permutations, so that a lone
+    candidate can pass BH, and stops once its p-value is certain to
+    exceed alpha, which leaves every BH decision as the full run's.
+    Writes ``rejected:untestable`` (no p-value, outside the BH family) and
+    ``rejected:statistical`` into ``decisions``. Returns the outcomes by
+    candidate id and the discoveries, in candidate order."""
+    need = MIN_SAMPLE_SIZE[params.statistic]
+    tested = [c for c in cands if c.area >= need]
+    decisions.update((c.id, "rejected:untestable") for c in cands if c.area < need)
+    alpha = params.alpha
+    family = replace(params, permutations=family_permutations(params.permutations, alpha,
+                                                              len(tested)))
+    outcomes = {}
+    for c in tested:
+        cfg_c = family.test_config(seed=derive_seed(base_seed, image_id, c.id))
+        outcomes[c.id] = two_sample_test(feat[c.pixels[:, 1], c.pixels[:, 0]], control, cfg_c,
+                                         stop_above=alpha)
+    kept = bh_fdr([outcomes[c.id].p_value for c in tested], alpha)
+    decisions.update((c.id, "rejected:statistical") for c, k in zip(tested, kept) if not k)
+    return outcomes, [c for c, k in zip(tested, kept) if k]
 
 
 def process_case(
@@ -227,56 +260,27 @@ def process_case(
     t0 = time.perf_counter()
     feat = minmax_normalize(intensity)
     control_feat = feat[union_mask.bits]
-    outcomes: dict[int, TestOutcome] = {}
-    untestable: set[int] = set()
+    decisions: dict[int, str] = {}
+    outcomes, screened = {}, cands
     if cands and control_feat.size >= 2:
-        # A candidate too small for the statistic gets no p-value and
-        # stays out of the BH family.
-        need = MIN_SAMPLE_SIZE[cfg.statistical.statistic]
-        tested = [c for c in cands if c.area >= need]
-        untestable = {c.id for c in cands if c.area < need}
-        # B grows with the family so that a lone candidate can pass BH; each
-        # test stops once its p-value is certain to exceed alpha, which
-        # leaves every BH decision as the full run's.
-        alpha = cfg.statistical.alpha
-        params = replace(cfg.statistical, permutations=family_permutations(
-            cfg.statistical.permutations, alpha, len(tested)))
-        for c in tested:
-            cand_feat = feat[c.pixels[:, 1], c.pixels[:, 0]]
-            cfg_c = params.test_config(seed=derive_seed(base_seed, image_id, c.id))
-            outcomes[c.id] = two_sample_test(cand_feat, control_feat, cfg_c, stop_above=alpha)
-        kept_flags = bh_fdr([outcomes[c.id].p_value for c in tested], alpha)
-        for c, kept in zip(tested, kept_flags):
-            outcomes[c.id].bh_kept = bool(kept)
-        screened = [c for c, kept in zip(tested, kept_flags) if kept]
+        outcomes, screened = screen_family(cands, feat, control_feat, cfg.statistical,
+                                           base_seed, image_id, decisions)
     elif cands:
         warnings.append("control region smaller than 2 px; statistical screen skipped")
-        screened = list(cands)
-    else:
-        screened = []
     timing["screen"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     l2_verdicts = {c.id: gate_candidate(c, cfg) for c in screened}
     l2_survivors = [c for c in screened if l2_verdicts[c.id].passed]
+    decisions.update((c.id, "rejected:L2") for c in screened if not l2_verdicts[c.id].passed)
     final, l3 = gate_case(l2_survivors, cfg)
+    # L3 keeps every survivor or none.
+    decisions.update((c.id, "kept" if final else "rejected:L3") for c in l2_survivors)
     timing["gates"] = time.perf_counter() - t0
 
-    final_ids = {c.id for c in final}
-    records = []
-    for c in cands:
-        if c.id in final_ids:
-            decision = "kept"
-        elif c.id in untestable:
-            decision = "rejected:untestable"
-        elif c.id in outcomes and not outcomes[c.id].bh_kept:
-            decision = "rejected:statistical"
-        elif c.id in l2_verdicts and not l2_verdicts[c.id].passed:
-            decision = "rejected:L2"
-        else:
-            decision = "rejected:L3"
-        records.append(_candidate_record(c, outcomes.get(c.id), l2_verdicts.get(c.id), decision))
-    report["candidates"] = records
+    discovered = {c.id for c in screened}
+    report["candidates"] = [_candidate_record(c, outcomes.get(c.id), c.id in discovered,
+                                              l2_verdicts.get(c.id), decisions[c.id]) for c in cands]
     report["l3"] = l3.to_dict()
     report["final_positive"] = bool(final)
     report["timing"] = timing
@@ -285,11 +289,27 @@ def process_case(
                       final_candidates=final)
 
 
+def map_ordered(fn, items: list, jobs: int) -> list:
+    """``fn`` over ``items`` in item order, on up to ``jobs`` threads; a plain loop at 1."""
+    if jobs > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 @dataclass
 class RunResult:
     results: list[CaseResult]
     summary: dict
     any_failed: bool
+
+
+def _read_on_frame(read, path: str, intensity: ScalarGrid):
+    """Read a map or mask that must lie on the intensity image's frame."""
+    grid = read(path)
+    if grid.frame != intensity.frame:
+        raise ValueError(f"{path}: frame {grid.frame} differs from the intensity frame {intensity.frame}")
+    return grid
 
 
 def run_manifest(
@@ -317,9 +337,10 @@ def run_manifest(
                 intensity = ScalarGrid(intensity.values, entry.spacing)
             plan = load_plan(entry.plan_path, default_scales=cfg.scoring.scales,
                              default_padding_mm=(cfg.geometric.padding_mm, cfg.geometric.padding_mm))
-            backend = FileBackend({(entry.image_id, prompt): read_sgrid(p)
+            backend = FileBackend({(entry.image_id, prompt): _read_on_frame(read_sgrid, p, intensity)
                                    for prompt, p in entry.prompt_paths.items()})
-            gt = read_mask(entry.ground_truth_path) if entry.ground_truth_path else None
+            gt = (_read_on_frame(read_mask, entry.ground_truth_path, intensity)
+                  if entry.ground_truth_path else None)
             return process_case(entry.image_id, intensity, plan, backend, cfg, base_seed), gt
         except Exception as err:  # per-image isolation: report, keep going
             # The innermost two frames and the exception, one line each.
@@ -330,11 +351,7 @@ def run_manifest(
             return CaseResult(entry.image_id, BinaryMask.full(1, 1, False), placeholder,
                               report, failed=True), None
 
-    if jobs > 1 and len(manifest.entries) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, manifest.entries))
-    else:
-        outcomes = [one(entry) for entry in manifest.entries]
+    outcomes = map_ordered(one, manifest.entries, jobs)
     results = [r for r, _ in outcomes]
 
     metrics = MetricsReport()

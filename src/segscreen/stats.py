@@ -403,9 +403,9 @@ class TestConfig:
             raise ValueError(f"statistic must be one of {STATISTIC_KINDS}, got {self.statistic!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TestOutcome:
-    """Observed statistic, permutation p-value and the BH decision;
+    """Observed statistic and permutation p-value of one test;
     ``bandwidth_sigma`` is the MMD^2 kernel bandwidth, None for energy;
     ``permutations_run`` is B unless the test stopped early."""
 
@@ -415,7 +415,6 @@ class TestOutcome:
     p_value: float
     bandwidth_sigma: float | None
     permutations_run: int
-    bh_kept: bool = False
 
 
 def two_sample_test(x, y, config: TestConfig = TestConfig(),
@@ -429,8 +428,7 @@ def two_sample_test(x, y, config: TestConfig = TestConfig(),
     at the h-th exceedance with h the number of attainable p-values
     k / (B + 1) at or below it, and reports the lower bound
     (h + 1) / (B + 1); a p-value at or below the level equals that of the
-    full run. Deterministic given (inputs, config.seed); bh_kept is left
-    False for a later multiple-testing pass to fill in.
+    full run. Deterministic given (inputs, config.seed).
     """
     rng = np.random.default_rng(config.seed)
     xa = subsample(x, config.sample_cap, rng)

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from segscreen.cli import _CONFIG_FLAGS, main
+from segscreen.grid import ScalarGrid
+from segscreen.sgrid import read_sgrid, write_sgrid
 
 from conftest import write_dataset
 
@@ -157,6 +160,33 @@ class TestRunCommand:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 42
 
+    @pytest.mark.parametrize("name", ["case0001.gt.sgrid", "case0001.tumor.sgrid"])
+    def test_map_off_the_intensity_frame_fails_only_its_image(self, tmp_path, capsys, name):
+        manifest = write_dataset(tmp_path, n_cases=3, seed=5)
+        clean, out_dir = tmp_path / "clean", tmp_path / "out"
+        assert main(["run", "--manifest", str(manifest), "--out", str(clean), "--seed", "3"]) == 0
+        path = tmp_path / name
+        grid = read_sgrid(path)
+        write_sgrid(path, ScalarGrid(grid.values[:92], grid.spacing))  # 4 rows short
+        capsys.readouterr()
+        rc = main(["run", "--manifest", str(manifest), "--out", str(out_dir), "--seed", "3"])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().out)["n_failed"] == 1
+        assert (out_dir / "summary.json").exists()
+        report = json.loads((out_dir / "reports" / "case0001.json").read_text())
+        assert report["error"] == (f"ValueError: {path}: frame (96, 92) differs from the "
+                                   "intensity frame (96, 96)")
+        assert not (out_dir / "masks" / "case0001.sgrid").exists()
+
+        def untimed(run_dir, stem):
+            report = json.loads((run_dir / "reports" / f"{stem}.json").read_text())
+            return {k: v for k, v in report.items() if k != "timing"}
+
+        for stem in ("case0000", "case0002"):
+            assert untimed(out_dir, stem) == untimed(clean, stem)
+            assert ((out_dir / "masks" / f"{stem}.sgrid").read_bytes()
+                    == (clean / "masks" / f"{stem}.sgrid").read_bytes())
+
     def test_dump_fused_flag(self, tmp_path, capsys):
         manifest = write_dataset(tmp_path, n_cases=1, seed=5)
         out_dir = tmp_path / "out"
@@ -190,6 +220,27 @@ class TestBenchCommand:
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
         assert len(summary["cases"]) == 2
+
+    def test_bench_pinned_spec_file(self, tmp_path, capsys):
+        # The acceptance spec's layout: the spec under "spec", next to its
+        # pinned targets. It runs as the same spec given flat.
+        payload = json.loads((Path(__file__).parent / "data" / "acceptance_bench.json").read_text())
+        payload["spec"]["n_cases"] = 4
+        pinned, flat = tmp_path / "pinned.json", tmp_path / "flat.json"
+        pinned.write_text(json.dumps(payload))
+        flat.write_text(json.dumps(payload["spec"]))
+        assert main(["bench", "--spec", str(pinned)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["n_cases"] == 4
+        assert main(["bench", "--spec", str(flat)]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_bench_pinned_spec_rejects_other_keys(self, tmp_path, capsys):
+        spec_path = tmp_path / "bench.json"
+        spec_path.write_text(json.dumps({"spec": {"n_cases": 2}, "pinned": {}, "notes": ""}))
+        assert main(["bench", "--spec", str(spec_path)]) == 2
+        assert capsys.readouterr().err == (f"error: {spec_path}: unknown bench spec fields "
+                                           "['notes', 'pinned', 'spec']\n")
 
     def test_bench_missing_spec_file(self, tmp_path, capsys):
         rc = main(["bench", "--spec", str(tmp_path / "none.json")])

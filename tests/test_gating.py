@@ -138,7 +138,7 @@ class TestGateExistence:
         control = BinaryMask(np.pad(np.ones((4, 4), bool), 3))
         verdict = gate_existence(fused, self.full_true(10, 10), control, GateConfig())
         assert not verdict.passed
-        reasons = {c.quantity for c in verdict.reasons}
+        reasons = {c.quantity for c in verdict.checks if not c.passed}
         assert "p_max" in reasons
         p_max_check = next(c for c in verdict.checks if c.quantity == "p_max")
         assert p_max_check.observed == 0.0 and p_max_check.threshold == 0.45
@@ -185,7 +185,7 @@ class TestGateExistence:
             verdict = gate_existence(fused, domain, control, GateConfig())
             assert verdict.passed == all(c.passed for c in verdict.checks)
             if not verdict.passed:
-                assert len(verdict.reasons) >= 1
+                assert len([c for c in verdict.checks if not c.passed]) >= 1
 
 
 class TestGateCandidate:
@@ -221,7 +221,7 @@ class TestGateCase:
     def test_empty_survivors(self):
         kept, verdict = gate_case([], GateConfig())
         assert kept == []
-        assert not verdict.passed and verdict.reasons
+        assert not verdict.passed and [c for c in verdict.checks if not c.passed]
 
     def test_all_or_nothing(self):
         strong = make_candidate(area=100, mean_prob=0.9, ordinal=0)

@@ -92,7 +92,8 @@ class TestGeometryFixtures:
         for gamma in (0.6, 0.8, 1.0, 1.2, 1.5):
             cur = scale_bbox(box, gamma, frame)
             if prev is not None:
-                assert cur.contains(prev)
+                assert (cur.x0 <= prev.x0 and cur.y0 <= prev.y0
+                        and prev.x1 <= cur.x1 and prev.y1 <= cur.y1)
             prev = cur
 
 

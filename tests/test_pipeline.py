@@ -3,13 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from segscreen.bench import BenchSpec, make_case
+import segscreen.bench as bench
+import segscreen.pipeline as pipeline
+from segscreen.bench import BenchSpec, make_case, run_bench
 from segscreen.gating import GateConfig
 from segscreen.grid import ScalarGrid
-from segscreen.pipeline import load_manifest, minmax_normalize, process_case, run_manifest
+from segscreen.pipeline import (load_manifest, minmax_normalize, process_case, run_manifest,
+                                screen_family)
 from segscreen.segmentor import Blob, FileBackend, SyntheticBackend, SyntheticSceneSpec, render_synthetic
 from segscreen.geometry import AnatomyPlan
-from segscreen.stats import bh_fdr
+from segscreen.stats import MIN_SAMPLE_SIZE, bh_fdr, family_permutations, two_sample_test
 
 from conftest import write_dataset
 
@@ -65,13 +68,109 @@ def noise_scene(frame=(64, 64)):
     )
 
 
+# Each scene returns the process_case inputs after the image id:
+# (intensity, plan, backend, cfg).
+
+def scene_pure_noise():
+    rng = np.random.default_rng(100)
+    backend = SyntheticBackend({"img": noise_scene()})
+    intensity = ScalarGrid(rng.normal(0.3, 0.05, size=(64, 64)))
+    plan = AnatomyPlan(anchors=("organ",), tumor_prompt="tumor")
+    return intensity, plan, backend, GateConfig()
+
+
+def lesion_scene(seed, lesion_center):
+    rng = np.random.default_rng(seed)
+    lx, ly = lesion_center
+    scene = SyntheticSceneSpec(
+        frame=(64, 64),
+        organ_blobs=(Blob(32, 32, 12, 0.9),),
+        lesion_blobs=(Blob(lx, ly, 7, 0.9),),
+        noise_floor=0.05,
+    )
+    backend = SyntheticBackend({"img": scene})
+    canvas = rng.normal(0.3, 0.05, size=(64, 64))
+    ys, xs = np.mgrid[0:64, 0:64]
+    organ_disc = (xs - 32) ** 2 + (ys - 32) ** 2 <= 169
+    canvas[organ_disc] = rng.normal(0.5, 0.08, size=int(organ_disc.sum()))
+    lesion_disc = (xs - lx) ** 2 + (ys - ly) ** 2 <= 121
+    canvas[lesion_disc] = rng.normal(0.8, 0.08, size=int(lesion_disc.sum()))
+    plan = AnatomyPlan(anchors=("organ",), tumor_prompt="tumor")
+    return ScalarGrid(canvas), plan, backend, GateConfig()
+
+
+def scene_planted_lesion():
+    return lesion_scene(101, (34, 30))
+
+
+def scene_centred_lesion():
+    return lesion_scene(103, (32, 32))
+
+
+def scene_outside_blob():
+    # strong uniform probabilities force candidates from pure noise intensity
+    rng = np.random.default_rng(102)
+    scene = SyntheticSceneSpec(
+        frame=(64, 64),
+        organ_blobs=(Blob(32, 32, 12, 0.9),),
+        lesion_blobs=(Blob(10, 10, 5, 0.8),),
+        noise_floor=0.05,
+    )
+    backend = SyntheticBackend({"img": scene})
+    intensity = ScalarGrid(rng.normal(0.4, 0.05, size=(64, 64)))
+    plan = AnatomyPlan(anchors=("organ",), tumor_prompt="tumor")
+    return intensity, plan, backend, GateConfig()
+
+
+def scene_single_pixel():
+    # The unbiased MMD^2 needs two points per set, so a 1 px candidate
+    # admitted by pre_filter_area=1 gets a decision without a p-value.
+    rng = np.random.default_rng(104)
+    scene = SyntheticSceneSpec(
+        frame=(64, 64),
+        organ_blobs=(Blob(32, 32, 10, 0.9),),
+        lesion_blobs=(Blob(32, 32, 5, 0.9),),
+        noise_floor=0.05,
+    )
+    tumor = render_synthetic(scene, "tumor").values.copy()
+    tumor[5, 5] = 0.9
+    backend = FileBackend({("img", "organ"): render_synthetic(scene, "organ"),
+                           ("img", "tumor"): ScalarGrid(tumor)})
+    intensity = ScalarGrid(rng.normal(0.4, 0.05, size=(64, 64)))
+    plan = AnatomyPlan(anchors=("organ",), tumor_prompt="tumor")
+    return intensity, plan, backend, GateConfig().override(pre_filter_area=1)
+
+
+def scene_lone_lesion_among_ten():
+    # One lesion among 10 null candidates outside the organ, K = 11.
+    rng = np.random.default_rng(101)
+    size, c = 200, 99.5
+    organ, lesion = Blob(c, c, 30.0, 0.9), Blob(c + 6.0, c - 5.0, 6.0, 0.9)
+    clutter = [Blob(c + 75.0 * np.cos(0.2 * np.pi * k), c + 75.0 * np.sin(0.2 * np.pi * k),
+                    5.0, 0.9) for k in range(10)]
+    scene = SyntheticSceneSpec(frame=(size, size), organ_blobs=(organ,),
+                               lesion_blobs=(lesion, *clutter), noise_floor=0.05)
+    ys, xs = np.mgrid[0:size, 0:size]
+
+    def disc(b, r):
+        return (xs - b.cx) ** 2 + (ys - b.cy) ** 2 <= r * r
+
+    intensity = rng.normal(0.3, 0.05, size=(size, size))
+    null = disc(organ, 33.0) | np.any([disc(b, 9.0) for b in clutter], axis=0)
+    intensity[null] = rng.normal(0.5, 0.08, size=int(null.sum()))
+    shifted = disc(lesion, 8.0)
+    intensity[shifted] = rng.normal(0.66, 0.08, size=int(shifted.sum()))
+    plan = AnatomyPlan(anchors=("organ",), tumor_prompt="tumor")
+    return ScalarGrid(intensity), plan, SyntheticBackend({"img": scene}), GateConfig()
+
+
+SCENES = (scene_pure_noise, scene_planted_lesion, scene_centred_lesion, scene_outside_blob,
+          scene_single_pixel, scene_lone_lesion_among_ten)
+
+
 class TestProcessCase:
     def test_pure_noise_case_fails_l1_with_named_reason(self):
-        rng = np.random.default_rng(100)
-        backend = SyntheticBackend({"img": noise_scene()})
-        intensity = ScalarGrid(rng.normal(0.3, 0.05, size=(64, 64)))
-        plan = AnatomyPlan(anchors=("organ",), tumor_prompt="tumor")
-        result = process_case("img", intensity, plan, backend, GateConfig())
+        result = process_case("img", *scene_pure_noise())
         assert result.final_mask.count == 0
         assert result.report["final_positive"] is False
         l1 = result.report["l1"]
@@ -81,84 +180,25 @@ class TestProcessCase:
         assert result.report["candidates"] == []
 
     def test_planted_lesion_detected(self):
-        rng = np.random.default_rng(101)
-        scene = SyntheticSceneSpec(
-            frame=(64, 64),
-            organ_blobs=(Blob(32, 32, 12, 0.9),),
-            lesion_blobs=(Blob(34, 30, 7, 0.9),),
-            noise_floor=0.05,
-        )
-        backend = SyntheticBackend({"img": scene})
-        canvas = rng.normal(0.3, 0.05, size=(64, 64))
-        ys, xs = np.mgrid[0:64, 0:64]
-        organ_disc = (xs - 32) ** 2 + (ys - 32) ** 2 <= 169
-        canvas[organ_disc] = rng.normal(0.5, 0.08, size=int(organ_disc.sum()))
-        lesion_disc = (xs - 34) ** 2 + (ys - 30) ** 2 <= 121
-        canvas[lesion_disc] = rng.normal(0.8, 0.08, size=int(lesion_disc.sum()))
-        intensity = ScalarGrid(canvas)
-        plan = AnatomyPlan(anchors=("organ",), tumor_prompt="tumor")
-        result = process_case("img", intensity, plan, backend, GateConfig())
+        result = process_case("img", *scene_planted_lesion())
         assert result.report["l1"]["passed"]
         assert result.final_mask.count > 0
         kept = [c for c in result.report["candidates"] if c["decision"] == "kept"]
         assert kept and all(c["bh_kept"] for c in kept)
 
     def test_rejected_candidates_carry_reasons(self):
-        rng = np.random.default_rng(102)
-        backend = SyntheticBackend({"img": noise_scene()})
-        # strong uniform probabilities force candidates from pure noise intensity
-        scene = SyntheticSceneSpec(
-            frame=(64, 64),
-            organ_blobs=(Blob(32, 32, 12, 0.9),),
-            lesion_blobs=(Blob(10, 10, 5, 0.8),),
-            noise_floor=0.05,
-        )
-        backend = SyntheticBackend({"img": scene})
-        intensity = ScalarGrid(rng.normal(0.4, 0.05, size=(64, 64)))
-        plan = AnatomyPlan(anchors=("organ",), tumor_prompt="tumor")
-        result = process_case("img", intensity, plan, backend, GateConfig())
+        result = process_case("img", *scene_outside_blob())
         for cand in result.report["candidates"]:
             if cand["decision"] != "kept":
                 assert cand["decision"].startswith("rejected:")
 
     def test_final_mask_pixels_trace_to_kept_candidates(self):
-        rng = np.random.default_rng(103)
-        scene = SyntheticSceneSpec(
-            frame=(64, 64),
-            organ_blobs=(Blob(32, 32, 12, 0.9),),
-            lesion_blobs=(Blob(32, 32, 7, 0.9),),
-            noise_floor=0.05,
-        )
-        backend = SyntheticBackend({"img": scene})
-        canvas = rng.normal(0.3, 0.05, size=(64, 64))
-        ys, xs = np.mgrid[0:64, 0:64]
-        organ_disc = (xs - 32) ** 2 + (ys - 32) ** 2 <= 169
-        canvas[organ_disc] = rng.normal(0.5, 0.08, size=int(organ_disc.sum()))
-        lesion_disc = (xs - 32) ** 2 + (ys - 32) ** 2 <= 121
-        canvas[lesion_disc] = rng.normal(0.8, 0.08, size=int(lesion_disc.sum()))
-        plan = AnatomyPlan(anchors=("organ",), tumor_prompt="tumor")
-        result = process_case("img", ScalarGrid(canvas), plan, backend, GateConfig())
+        result = process_case("img", *scene_centred_lesion())
         total = sum(c.area for c in result.final_candidates)
         assert result.final_mask.count == total
 
     def test_single_pixel_candidate_is_untestable_not_failed(self):
-        # The unbiased MMD^2 needs two points per set, so a 1 px candidate
-        # admitted by pre_filter_area=1 gets a decision without a p-value.
-        rng = np.random.default_rng(104)
-        scene = SyntheticSceneSpec(
-            frame=(64, 64),
-            organ_blobs=(Blob(32, 32, 10, 0.9),),
-            lesion_blobs=(Blob(32, 32, 5, 0.9),),
-            noise_floor=0.05,
-        )
-        tumor = render_synthetic(scene, "tumor").values.copy()
-        tumor[5, 5] = 0.9
-        backend = FileBackend({("img", "organ"): render_synthetic(scene, "organ"),
-                               ("img", "tumor"): ScalarGrid(tumor)})
-        intensity = ScalarGrid(rng.normal(0.4, 0.05, size=(64, 64)))
-        plan = AnatomyPlan(anchors=("organ",), tumor_prompt="tumor")
-        cfg = GateConfig().override(pre_filter_area=1)
-        result = process_case("img", intensity, plan, backend, cfg)
+        result = process_case("img", *scene_single_pixel())
         cands = {c["area"]: c for c in result.report["candidates"]}
         assert cands[1]["decision"] == "rejected:untestable"
         assert "p_value" not in cands[1]
@@ -166,32 +206,12 @@ class TestProcessCase:
         assert tested and all("p_value" in c for c in tested)
 
     def test_family_sized_permutations_keep_lone_lesion(self):
-        # One lesion among 10 null candidates, K = 11: at B = 199 the
-        # smallest p-value 1/200 exceeds BH's rank-1 threshold 0.05/11, so
-        # nothing could be kept. B grows to 219 for the family, the lesion
-        # reaches 1/220 and is kept, and each null stops at its 11th
-        # exceedance with p = 12/220.
+        # At B = 199 the smallest p-value 1/200 exceeds BH's rank-1
+        # threshold 0.05/11, so nothing could be kept. B grows to 219 for
+        # the family, the lesion reaches 1/220 and is kept, and each null
+        # stops at its 11th exceedance with p = 12/220.
         assert not bh_fdr([1 / 200] + [1.0] * 10, 0.05).any()
-        rng = np.random.default_rng(101)
-        size, c = 200, 99.5
-        organ, lesion = Blob(c, c, 30.0, 0.9), Blob(c + 6.0, c - 5.0, 6.0, 0.9)
-        clutter = [Blob(c + 75.0 * np.cos(0.2 * np.pi * k), c + 75.0 * np.sin(0.2 * np.pi * k),
-                        5.0, 0.9) for k in range(10)]
-        scene = SyntheticSceneSpec(frame=(size, size), organ_blobs=(organ,),
-                                   lesion_blobs=(lesion, *clutter), noise_floor=0.05)
-        ys, xs = np.mgrid[0:size, 0:size]
-
-        def disc(b, r):
-            return (xs - b.cx) ** 2 + (ys - b.cy) ** 2 <= r * r
-
-        intensity = rng.normal(0.3, 0.05, size=(size, size))
-        null = disc(organ, 33.0) | np.any([disc(b, 9.0) for b in clutter], axis=0)
-        intensity[null] = rng.normal(0.5, 0.08, size=int(null.sum()))
-        shifted = disc(lesion, 8.0)
-        intensity[shifted] = rng.normal(0.66, 0.08, size=int(shifted.sum()))
-        plan = AnatomyPlan(anchors=("organ",), tumor_prompt="tumor")
-        report = process_case("img", ScalarGrid(intensity), plan, SyntheticBackend({"img": scene}),
-                              GateConfig()).report
+        report = process_case("img", *scene_lone_lesion_among_ten()).report
         cands = report["candidates"]
         assert len(cands) == 11 and all("p_value" in cand for cand in cands)
         kept = [cand for cand in cands if cand["decision"] == "kept"]
@@ -201,6 +221,82 @@ class TestProcessCase:
             if cand is not kept[0]:
                 assert cand["decision"] == "rejected:statistical"
                 assert cand["p_value"] == 12 / 220 and cand["permutations_run"] < 219
+
+
+def check_decisions(report: dict) -> set[str]:
+    """Assert what each decision implies about a candidate record; returns the decisions seen."""
+    for cand in report["candidates"]:
+        decision = cand["decision"]
+        if decision == "rejected:untestable":
+            assert "p_value" not in cand
+        elif decision == "rejected:statistical":
+            assert cand["bh_kept"] is False and "l2" not in cand
+        elif decision == "rejected:L2":
+            assert cand["l2"]["passed"] is False
+        else:
+            assert decision in ("kept", "rejected:L3") and cand["l2"]["passed"] is True
+        if "p_value" in cand and decision != "rejected:statistical":
+            assert cand["bh_kept"] is True
+    return {cand["decision"] for cand in report["candidates"]}
+
+
+class TestDecisionInvariants:
+    @pytest.mark.parametrize("statistic", ["mmd2", "energy"])
+    @pytest.mark.parametrize("scene", SCENES, ids=lambda f: f.__name__)
+    def test_scene_records(self, scene, statistic):
+        intensity, plan, backend, cfg = scene()
+        check_decisions(process_case("img", intensity, plan, backend,
+                                     cfg.override(statistic=statistic)).report)
+
+    @pytest.mark.parametrize("statistic", ["mmd2", "energy"])
+    @pytest.mark.parametrize("tau_case", [2.0, 10.0])
+    def test_bench_run(self, monkeypatch, statistic, tau_case):
+        # Every report of a 20-case run, and every screen_family call in
+        # it: the discoveries are BH's on the returned p-values, and each
+        # test ran B_K permutations for its family, stopped at alpha. A
+        # case gate of 10 rejects every L2 survivor at L3.
+        reports, screens = [], []
+
+        def recording_case(*args, **kwargs):
+            result = process_case(*args, **kwargs)
+            reports.append(result.report)
+            return result
+
+        def recording_screen(cands, feat, control, params, base_seed, image_id, decisions):
+            screens.append({"cands": cands, "params": params, "tests": []})
+            outcomes, discoveries = screen_family(cands, feat, control, params, base_seed,
+                                                  image_id, decisions)
+            screens[-1].update(outcomes=outcomes, discoveries=discoveries,
+                               decisions=dict(decisions))
+            return outcomes, discoveries
+
+        def recording_test(x, y, config, stop_above=None):
+            screens[-1]["tests"].append((config.permutations, stop_above))
+            return two_sample_test(x, y, config, stop_above=stop_above)
+
+        monkeypatch.setattr(bench, "process_case", recording_case)
+        monkeypatch.setattr(pipeline, "screen_family", recording_screen)
+        monkeypatch.setattr(pipeline, "two_sample_test", recording_test)
+        cfg = GateConfig().override(statistic=statistic, tau_case=tau_case)
+        run_bench(BenchSpec(n_cases=20), cfg)
+
+        assert len(reports) == 20
+        seen = set().union(*(check_decisions(r) for r in reports))
+        last = "rejected:L3" if tau_case > 2.0 else "kept"
+        assert seen == {"rejected:statistical", "rejected:L2", last}
+        assert screens
+        for call in screens:
+            params = call["params"]
+            need = MIN_SAMPLE_SIZE[params.statistic]
+            tested = [c for c in call["cands"] if c.area >= need]
+            assert sorted(call["outcomes"]) == [c.id for c in tested]
+            assert all(call["decisions"][c.id] == "rejected:untestable"
+                       for c in call["cands"] if c.area < need)
+            p_values = [call["outcomes"][c.id].p_value for c in tested]
+            kept = bh_fdr(p_values, params.alpha)
+            assert [c.id for c in call["discoveries"]] == [c.id for c, k in zip(tested, kept) if k]
+            b_k = family_permutations(params.permutations, params.alpha, len(tested))
+            assert call["tests"] == [(b_k, params.alpha)] * len(tested)
 
 
 def strip_timing(report: dict) -> dict:
