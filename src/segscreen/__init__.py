@@ -50,7 +50,7 @@ from .metrics import (
     slice_sensitivity_specificity,
     soft_dice,
 )
-from .pipeline import CaseResult, Manifest, ManifestEntry, load_manifest, process_case, run_manifest
+from .pipeline import CaseResult, ManifestEntry, load_manifest, process_case, run_manifest
 from .segmentor import (
     Blob,
     ClutterSpec,
@@ -62,7 +62,6 @@ from .segmentor import (
 )
 from .sgrid import read_mask, read_sgrid, write_mask, write_sgrid
 from .stats import (
-    TestConfig,
     TestOutcome,
     bh_fdr,
     derive_seed,

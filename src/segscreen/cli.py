@@ -2,7 +2,7 @@
 
 Configuration precedence is built-in defaults < --config file < explicit
 flags. The default seed comes from the SEGSCREEN_SEED environment
-variable when set; the --seed flag wins over both.
+variable when set and not empty; the --seed flag wins over both.
 """
 
 from __future__ import annotations
@@ -11,14 +11,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .bench import BenchSpec, run_bench
-from .gating import GateConfig, GeometricParams, ScoringParams, StatisticalParams
+from .gating import GateConfig, GeometricParams, ScoringParams
 from .pipeline import TIMING_STAGES, _jsonable, load_manifest, run_manifest
-from .stats import TestConfig, two_sample_test
+from .stats import STATISTIC_KINDS, StatisticalParams, two_sample_test
 
 SEED_ENV_VAR = "SEGSCREEN_SEED"
 
@@ -51,16 +51,17 @@ def _resolve_config(args: argparse.Namespace) -> GateConfig:
     return cfg.override(**overrides)
 
 
-def _default_seed(args: argparse.Namespace) -> int:
+def _default_seed(args: argparse.Namespace, fallback: int = 0) -> int:
+    """--seed, else SEGSCREEN_SEED unless unset or empty, else ``fallback``."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    return 0
+    if not env:
+        return fallback
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -91,8 +92,8 @@ def _read_column(path: str) -> np.ndarray:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    seed = _default_seed(args)
     try:
+        seed = _default_seed(args)
         cfg = _resolve_config(args)
         manifest = load_manifest(args.manifest)
     except (OSError, ValueError) as err:
@@ -101,27 +102,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run_manifest(manifest, cfg, base_seed=seed, jobs=args.jobs,
                           out_dir=args.out, dump_fused=args.dump_fused)
     print(json.dumps(_jsonable(result.summary), sort_keys=True, indent=2))
-    return 1 if result.any_failed else 0
+    return 1 if result.summary["n_failed"] > 0 else 0
 
 
 def _cmd_stats_test(args: argparse.Namespace) -> int:
     try:
         x = _read_column(args.file_x)
         y = _read_column(args.file_y)
-        cfg = TestConfig(
-            permutations=args.permutations if args.permutations is not None else 199,
-            statistic=args.statistic,
-            seed=_default_seed(args),
-        )
-        outcome = two_sample_test(x, y, cfg)
+        params = StatisticalParams(permutations=args.permutations, statistic=args.statistic)
+        outcome = two_sample_test(x, y, params, _default_seed(args))
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     record = {
         "statistic": outcome.statistic_observed,
         "p_value": outcome.p_value,
-        "kind": cfg.statistic,
-        "permutations": cfg.permutations,
+        "kind": params.statistic,
+        "permutations": params.permutations,
     }
     if outcome.bandwidth_sigma is not None:
         record["sigma"] = outcome.bandwidth_sigma
@@ -133,11 +130,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         cfg = _resolve_config(args)
         spec = BenchSpec.from_file(args.spec) if args.spec else BenchSpec()
+        spec = replace(spec, seed=_default_seed(args, spec.seed))
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.seed is not None or os.environ.get(SEED_ENV_VAR):
-        spec = BenchSpec.from_dict(dict(asdict(spec), seed=_default_seed(args)))
     result = run_bench(spec, cfg, jobs=args.jobs, dump_dir=args.dump_dir)
     summary = result.to_dict()
     if not args.per_case:
@@ -220,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats-test", help="generic two-sample test on numeric columns")
     p_stats.add_argument("file_x")
     p_stats.add_argument("file_y")
-    p_stats.add_argument("--statistic", choices=("mmd2", "energy"), default="mmd2")
-    p_stats.add_argument("--permutations", type=int, default=None)
+    p_stats.add_argument("--statistic", choices=STATISTIC_KINDS, default=StatisticalParams.statistic)
+    p_stats.add_argument("--permutations", type=int, default=StatisticalParams.permutations)
     p_stats.add_argument("--seed", type=int, default=None)
     p_stats.set_defaults(func=_cmd_stats_test)
 

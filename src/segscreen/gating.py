@@ -6,7 +6,10 @@ domain, and a KS comparison of probabilities inside versus outside the
 organ control region. L2 filters individual candidates on area, mean
 probability and control overlap. L3 is case-level: if the best
 stability score mean_prob * sqrt(area) stays below a cutoff, the whole
-case emits an empty mask.
+case emits an empty mask. Every L2 survivor scores at least
+tau_mean * sqrt(a_min), so L3 can reject only when tau_case exceeds that
+bound; at the defaults (0.5 * sqrt(80) = 4.47 against tau_case 2.0) it
+keeps every non-empty survivor set.
 
 Comparisons transcribe the rule directions literally: ">="-style
 requirements pass at equality, "<"-style rejections do not trigger at
@@ -24,7 +27,7 @@ from .candidates import CandidateRegion
 from .fusion import check_view_rule
 from .geometry import check_padding_mm, check_scales
 from .grid import BinaryMask, ScalarGrid, positive_ratio
-from .stats import TestConfig, ks_two_sample
+from .stats import StatisticalParams, ks_two_sample
 
 
 def _has_type(value, typ: type) -> bool:
@@ -63,20 +66,6 @@ class ScoringParams:
 
 
 @dataclass(frozen=True)
-class StatisticalParams:
-    alpha: float = 0.05
-    permutations: int = 199
-    sample_cap: int = 4000
-    tau_ks: float = 0.05
-    statistic: str = "mmd2"
-
-    def test_config(self, seed: int = 0) -> TestConfig:
-        """Settings of one candidate test; building it applies TestConfig's rules."""
-        return TestConfig(permutations=self.permutations, sample_cap=self.sample_cap,
-                          statistic=self.statistic, seed=seed)
-
-
-@dataclass(frozen=True)
 class GeometricParams:
     tau_max: float = 0.45
     tau_ratio: float = 2e-4
@@ -99,17 +88,12 @@ class GateConfig:
     def __post_init__(self) -> None:
         # Rules that belong to the stage consuming a value are applied by
         # that stage's own checks, so a config accepted here cannot fail
-        # an image later.
-        s, st, g = self.scoring, self.statistical, self.geometric
+        # an image later. StatisticalParams checks itself when it is built.
+        s, g = self.scoring, self.geometric
         if not (0.30 <= s.tau_bin <= 0.55):
             raise ValueError(f"tau_bin must lie in [0.30, 0.55], got {s.tau_bin}")
         check_view_rule(s.view_rule)
         check_scales(s.scales)
-        st.test_config()
-        if not (0.0 < st.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {st.alpha}")
-        if not (0.0 < st.tau_ks <= 1.0):
-            raise ValueError(f"tau_ks must lie in (0, 1], got {st.tau_ks}")
         for name in ("tau_max", "tau_ratio", "tau_mean", "tau_intersect"):
             if not (0.0 <= getattr(g, name) <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(g, name)}")
@@ -143,9 +127,10 @@ class GateConfig:
             bad = set(entries) - valid
             if bad:
                 raise ValueError(f"{source}: unknown keys {sorted(bad)} in section {section!r}")
-            kwargs[section] = params_cls(**json_fields(params_cls, entries, source, section))
+            kwargs[section] = (params_cls, json_fields(params_cls, entries, source, section))
         try:
-            return cls(**kwargs)
+            return cls(**{section: params_cls(**values)
+                          for section, (params_cls, values) in kwargs.items()})
         except ValueError as err:
             raise ValueError(f"{source}: {err}") from err
 

@@ -29,14 +29,14 @@ import numpy as np
 
 from .candidates import CandidateRegion, candidates_to_mask, connected_components, describe, filter_min_area
 from .fusion import run_tta
-from .gating import GateConfig, GateVerdict, StatisticalParams, gate_candidate, gate_case, gate_existence
+from .gating import GateConfig, GateVerdict, gate_candidate, gate_case, gate_existence
 from .geometry import AnatomyPlan, boxes_to_mask, build_rois, load_plan
 from .grid import BinaryMask, ScalarGrid, binarize
 from .metrics import MetricsReport
 from .segmentor import SegmentorRequest
 from .sgrid import read_mask, read_sgrid
-from .stats import (MIN_SAMPLE_SIZE, TestOutcome, bh_fdr, derive_seed, family_permutations,
-                    two_sample_test)
+from .stats import (MIN_SAMPLE_SIZE, StatisticalParams, TestOutcome, bh_fdr, derive_seed,
+                    family_permutations, two_sample_test)
 
 # The stages process_case times into report["timing"], in pipeline order.
 TIMING_STAGES = ("rois", "fusion", "l1", "candidates", "screen", "gates")
@@ -52,12 +52,7 @@ class ManifestEntry:
     ground_truth_path: str | None = None
 
 
-@dataclass
-class Manifest:
-    entries: list[ManifestEntry] = field(default_factory=list)
-
-
-def load_manifest(path: str | os.PathLike) -> Manifest:
+def load_manifest(path: str | os.PathLike) -> list[ManifestEntry]:
     """Parse and validate a dataset manifest; every referenced file must exist."""
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8") as fh:
@@ -117,7 +112,7 @@ def load_manifest(path: str | os.PathLike) -> Manifest:
             if not os.path.exists(candidate_path):
                 raise ValueError(f"{where}: referenced file does not exist: {candidate_path}")
         entries.append(entry)
-    return Manifest(entries=entries)
+    return entries
 
 
 def minmax_normalize(intensity: ScalarGrid) -> np.ndarray:
@@ -194,9 +189,8 @@ def screen_family(cands: list[CandidateRegion], feat: np.ndarray, control: np.nd
                                                               len(tested)))
     outcomes = {}
     for c in tested:
-        cfg_c = family.test_config(seed=derive_seed(base_seed, image_id, c.id))
-        outcomes[c.id] = two_sample_test(feat[c.pixels[:, 1], c.pixels[:, 0]], control, cfg_c,
-                                         stop_above=alpha)
+        outcomes[c.id] = two_sample_test(feat[c.pixels[:, 1], c.pixels[:, 0]], control, family,
+                                         derive_seed(base_seed, image_id, c.id), stop_above=alpha)
     kept = bh_fdr([outcomes[c.id].p_value for c in tested], alpha)
     decisions.update((c.id, "rejected:statistical") for c, k in zip(tested, kept) if not k)
     return outcomes, [c for c, k in zip(tested, kept) if k]
@@ -301,7 +295,6 @@ def map_ordered(fn, items: list, jobs: int) -> list:
 class RunResult:
     results: list[CaseResult]
     summary: dict
-    any_failed: bool
 
 
 def _read_on_frame(read, path: str, intensity: ScalarGrid):
@@ -313,7 +306,7 @@ def _read_on_frame(read, path: str, intensity: ScalarGrid):
 
 
 def run_manifest(
-    manifest: Manifest,
+    manifest: list[ManifestEntry],
     cfg: GateConfig,
     base_seed: int = 0,
     jobs: int = 1,
@@ -351,7 +344,7 @@ def run_manifest(
             return CaseResult(entry.image_id, BinaryMask.full(1, 1, False), placeholder,
                               report, failed=True), None
 
-    outcomes = map_ordered(one, manifest.entries, jobs)
+    outcomes = map_ordered(one, manifest, jobs)
     results = [r for r, _ in outcomes]
 
     metrics = MetricsReport()
@@ -360,7 +353,6 @@ def run_manifest(
             result.report["metrics"] = metrics.add_slice(result.image_id, result.final_mask,
                                                          result.fused, gt)
 
-    any_failed = any(r.failed for r in results)
     summary = {
         "n_images": len(results),
         "n_failed": sum(1 for r in results if r.failed),
@@ -391,4 +383,4 @@ def run_manifest(
             json.dump(_jsonable(summary), fh, sort_keys=True, indent=2)
             fh.write("\n")
 
-    return RunResult(results=results, summary=summary, any_failed=any_failed)
+    return RunResult(results=results, summary=summary)

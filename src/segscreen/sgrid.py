@@ -62,7 +62,10 @@ def read_sgrid(path: str | os.PathLike) -> ScalarGrid:
         if len(payload) > expected:
             raise ValueError(f"{path}: trailing data after payload")
     values = np.frombuffer(payload, dtype="<f4").reshape(height, width)
-    return ScalarGrid(values.astype(np.float64), (sx, sy))
+    try:
+        return ScalarGrid(values.astype(np.float64), (sx, sy))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def read_mask(path: str | os.PathLike) -> BinaryMask:

@@ -384,15 +384,15 @@ def _fast_permutation_pvalue(
 
 
 @dataclass(frozen=True)
-class TestConfig:
-    """Knobs for one candidate-vs-control test."""
+class StatisticalParams:
+    """The screen's statistical settings: the ``statistical`` config section
+    and the settings of each candidate test. Building one checks them."""
 
-    __test__ = False  # not a pytest class, despite the name
-
+    alpha: float = 0.05
     permutations: int = 199
     sample_cap: int = 4000
+    tau_ks: float = 0.05
     statistic: str = "mmd2"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.permutations < 19:
@@ -401,6 +401,10 @@ class TestConfig:
             raise ValueError(f"sample cap must be >= 2, got {self.sample_cap}")
         if self.statistic not in STATISTIC_KINDS:
             raise ValueError(f"statistic must be one of {STATISTIC_KINDS}, got {self.statistic!r}")
+        if not (0.0 < self.alpha < 1.0):
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not (0.0 < self.tau_ks <= 1.0):
+            raise ValueError(f"tau_ks must lie in (0, 1], got {self.tau_ks}")
 
 
 @dataclass(frozen=True)
@@ -417,7 +421,7 @@ class TestOutcome:
     permutations_run: int
 
 
-def two_sample_test(x, y, config: TestConfig = TestConfig(),
+def two_sample_test(x, y, params: StatisticalParams = StatisticalParams(), seed: int = 0,
                     stop_above: float | None = None) -> TestOutcome:
     """Run the configured two-sample screen on one candidate/control pair.
 
@@ -428,17 +432,18 @@ def two_sample_test(x, y, config: TestConfig = TestConfig(),
     at the h-th exceedance with h the number of attainable p-values
     k / (B + 1) at or below it, and reports the lower bound
     (h + 1) / (B + 1); a p-value at or below the level equals that of the
-    full run. Deterministic given (inputs, config.seed).
+    full run. Runs the statistic, B and sample cap of ``params``;
+    deterministic given (inputs, params, seed).
     """
-    rng = np.random.default_rng(config.seed)
-    xa = subsample(x, config.sample_cap, rng)
-    ya = subsample(y, config.sample_cap, rng)
-    _check_sizes(config.statistic, xa.size, ya.size)
+    rng = np.random.default_rng(seed)
+    xa = subsample(x, params.sample_cap, rng)
+    ya = subsample(y, params.sample_cap, rng)
+    _check_sizes(params.statistic, xa.size, ya.size)
     pooled = np.concatenate([xa, ya])
-    sigma = median_heuristic(pooled) if config.statistic == "mmd2" else None
-    order, xs, row_sums = _pooled_matrix(config.statistic, pooled, sigma)
-    observed, p_value, run = _fast_permutation_pvalue(config.statistic, xs, row_sums, order,
-                                                      xa.size, config.permutations, rng,
+    sigma = median_heuristic(pooled) if params.statistic == "mmd2" else None
+    order, xs, row_sums = _pooled_matrix(params.statistic, pooled, sigma)
+    observed, p_value, run = _fast_permutation_pvalue(params.statistic, xs, row_sums, order,
+                                                      xa.size, params.permutations, rng,
                                                       stop_above)
     return TestOutcome(statistic_observed=observed, p_value=float(p_value),
                        bandwidth_sigma=sigma, permutations_run=run)

@@ -20,7 +20,7 @@ from segscreen.gating import GateConfig
 from segscreen.grid import BinaryMask, ScalarGrid
 from segscreen.metrics import SliceOutcome, dice, slice_sensitivity_specificity
 from segscreen.geometry import pad_bbox, BoundingBox
-from segscreen.stats import TestConfig, bh_fdr, derive_seed, mmd2_unbiased, median_heuristic, two_sample_test
+from segscreen.stats import StatisticalParams, bh_fdr, derive_seed, mmd2_unbiased, median_heuristic, two_sample_test
 
 from conftest import write_dataset
 from oracles import bh_keep_bruteforce, flood_fill_components
@@ -66,8 +66,8 @@ def test_c02_empirical_fdr_under_exact_null():
         for member in range(10):
             x = rng.normal(0.5, 0.08, size=200)
             y = rng.normal(0.5, 0.08, size=200)
-            cfg = TestConfig(permutations=199, seed=derive_seed(1002, family, member))
-            p_values.append(two_sample_test(x, y, cfg).p_value)
+            p_values.append(two_sample_test(x, y, StatisticalParams(permutations=199),
+                                            derive_seed(1002, family, member)).p_value)
         kept = bh_fdr(p_values, alpha)
         n_candidates += len(p_values)
         n_kept += int(kept.sum())
@@ -111,7 +111,7 @@ def test_c05_power_at_two_sd_shift():
     for i in range(trials):
         x = rng.normal(0.0, 1.0, size=200)
         y = rng.normal(2.0, 1.0, size=200)
-        out = two_sample_test(x, y, TestConfig(permutations=199, seed=derive_seed(1005, i)))
+        out = two_sample_test(x, y, StatisticalParams(permutations=199), derive_seed(1005, i))
         rejections += out.p_value <= 0.05
     rate = rejections / trials
     elapsed = time.perf_counter() - t0
@@ -125,8 +125,8 @@ def test_c06_permutation_p_uniform_under_null():
     for i in range(500):
         x = rng.normal(size=100)
         y = rng.normal(size=100)
-        ps.append(two_sample_test(x, y, TestConfig(permutations=199,
-                                                   seed=derive_seed(1006, i))).p_value)
+        ps.append(two_sample_test(x, y, StatisticalParams(permutations=199),
+                                  derive_seed(1006, i)).p_value)
     ps = np.sort(ps)
     n = len(ps)
     d = max(float((np.arange(1, n + 1) / n - ps).max()),

@@ -187,12 +187,55 @@ class TestRunCommand:
             assert ((out_dir / "masks" / f"{stem}.sgrid").read_bytes()
                     == (clean / "masks" / f"{stem}.sgrid").read_bytes())
 
+    def test_nan_pixel_fails_only_its_image_naming_the_file(self, tmp_path, capsys):
+        manifest = write_dataset(tmp_path, n_cases=2, seed=5)
+        clean, out_dir = tmp_path / "clean", tmp_path / "out"
+        assert main(["run", "--manifest", str(manifest), "--out", str(clean), "--seed", "3"]) == 0
+        path = tmp_path / "case0001.tumor.sgrid"
+        data = bytearray(path.read_bytes())
+        data[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # the last pixel
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["run", "--manifest", str(manifest), "--out", str(out_dir), "--seed", "3"]) == 1
+        report = json.loads((out_dir / "reports" / "case0001.json").read_text())
+        assert report["error"] == f"ValueError: {path}: grid values must all be finite"
+        untimed = [{k: v for k, v in json.loads((d / "reports" / "case0000.json").read_text()).items()
+                    if k != "timing"} for d in (clean, out_dir)]
+        assert untimed[0] == untimed[1]
+        assert ((out_dir / "masks" / "case0000.sgrid").read_bytes()
+                == (clean / "masks" / "case0000.sgrid").read_bytes())
+
     def test_dump_fused_flag(self, tmp_path, capsys):
         manifest = write_dataset(tmp_path, n_cases=1, seed=5)
         out_dir = tmp_path / "out"
         rc = main(["run", "--manifest", str(manifest), "--out", str(out_dir), "--dump-fused"])
         assert rc == 0
         assert (out_dir / "masks" / "case0000.fused.sgrid").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "stats-test", "bench"])
+def test_seed_env_var_empty_is_unset_and_non_integer_exits_2(tmp_path, capsys, monkeypatch, command):
+    if command == "run":
+        manifest = write_dataset(tmp_path, n_cases=1, seed=5)
+        argv = ["run", "--manifest", str(manifest), "--out", str(tmp_path / "out")]
+    elif command == "stats-test":
+        fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
+        write_column(fx, np.arange(20.0))
+        write_column(fy, np.arange(5.0, 25.0))
+        argv = ["stats-test", str(fx), str(fy)]
+    else:
+        spec_path = tmp_path / "bench.json"
+        spec_path.write_text(json.dumps({"n_cases": 1, "seed": 17}))
+        argv = ["bench", "--spec", str(spec_path)]
+    monkeypatch.delenv("SEGSCREEN_SEED", raising=False)
+    assert main(argv) == 0
+    unset = capsys.readouterr().out
+    monkeypatch.setenv("SEGSCREEN_SEED", "")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == unset
+    monkeypatch.setenv("SEGSCREEN_SEED", "abc")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: SEGSCREEN_SEED must be an integer, got 'abc'\n"
 
 
 def test_config_flags_cover_every_config_field():

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from segscreen.candidates import CandidateRegion
 from segscreen.gating import (
@@ -228,6 +230,19 @@ class TestGateCase:
         weak = make_candidate(area=81, mean_prob=0.1, ordinal=1)  # S = 0.9
         kept, _ = gate_case([strong, weak], GateConfig())
         assert kept == [strong, weak]  # never partially filters
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 400), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=5))
+    def test_defaults_keep_every_l2_survivor_set(self, drawn):
+        # Every L2 survivor scores at least tau_mean * sqrt(a_min) = 0.5 * sqrt(80),
+        # about 4.47, above the default tau_case 2.0: L3 cannot act at the defaults.
+        cfg = GateConfig()
+        cands = [make_candidate(area, prob, overlap, i) for i, (area, prob, overlap) in enumerate(drawn)]
+        survivors = [c for c in cands if gate_candidate(c, cfg).passed]
+        assume(survivors)
+        kept, verdict = gate_case(survivors, cfg)
+        assert kept == survivors and verdict.passed
 
 
 class TestGateMonotonicity:

@@ -20,9 +20,9 @@ from conftest import write_dataset
 class TestManifestLoading:
     def test_valid_manifest(self, small_dataset):
         manifest = load_manifest(small_dataset)
-        assert len(manifest.entries) == 2
-        assert manifest.entries[0].image_id == "case0000"
-        assert manifest.entries[0].ground_truth_path.endswith("case0000.gt.sgrid")
+        assert len(manifest) == 2
+        assert manifest[0].image_id == "case0000"
+        assert manifest[0].ground_truth_path.endswith("case0000.gt.sgrid")
 
     def test_duplicate_ids_rejected(self, tmp_path, small_dataset):
         data = json.loads(small_dataset.read_text())
@@ -270,9 +270,9 @@ class TestDecisionInvariants:
                                decisions=dict(decisions))
             return outcomes, discoveries
 
-        def recording_test(x, y, config, stop_above=None):
-            screens[-1]["tests"].append((config.permutations, stop_above))
-            return two_sample_test(x, y, config, stop_above=stop_above)
+        def recording_test(x, y, params, seed, stop_above=None):
+            screens[-1]["tests"].append((params.permutations, stop_above))
+            return two_sample_test(x, y, params, seed, stop_above=stop_above)
 
         monkeypatch.setattr(bench, "process_case", recording_case)
         monkeypatch.setattr(pipeline, "screen_family", recording_screen)
@@ -309,7 +309,7 @@ class TestRunManifest:
         manifest = load_manifest(small_dataset)
         out_dir = tmp_path / "out"
         result = run_manifest(manifest, GateConfig(), base_seed=3, out_dir=str(out_dir))
-        assert not result.any_failed
+        assert result.summary["n_failed"] == 0
         assert result.summary["n_images"] == 2
         assert "metrics" in result.summary
         assert (out_dir / "masks" / "case0000.sgrid").exists()
@@ -322,7 +322,7 @@ class TestRunManifest:
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"entries": []}))
         result = run_manifest(load_manifest(path), GateConfig())
-        assert not result.any_failed
+        assert result.summary["n_failed"] == 0
         assert result.summary["n_images"] == 0
 
     def test_deterministic_across_runs_and_jobs(self, tmp_path):
@@ -346,10 +346,10 @@ class TestRunManifest:
         manifest = load_manifest(small_dataset)
         import os
 
-        with open(manifest.entries[0].plan_path, "w") as fh:
+        with open(manifest[0].plan_path, "w") as fh:
             fh.write(json.dumps({"anchors": ["organ"], "tumor_prompt": "missing prompt"}))
         result = run_manifest(manifest, GateConfig(), out_dir=str(tmp_path / "out"))
-        assert result.any_failed
+        assert result.summary["n_failed"] > 0
         failed = [r for r in result.results if r.failed]
         assert len(failed) == 1
         assert "error" in failed[0].report

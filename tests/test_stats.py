@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from segscreen import stats
 from segscreen.stats import (
-    TestConfig,
+    StatisticalParams,
     bh_fdr,
     derive_seed,
     energy_distance,
@@ -193,8 +193,8 @@ class TestTwoSampleTest:
         rng = np.random.default_rng(58)
         x = rng.normal(size=100)
         y = rng.normal(size=120)
-        a = two_sample_test(x, y, TestConfig(seed=9))
-        b = two_sample_test(x, y, TestConfig(seed=9))
+        a = two_sample_test(x, y, StatisticalParams(), 9)
+        b = two_sample_test(x, y, StatisticalParams(), 9)
         assert (a.statistic_observed, a.p_value, a.bandwidth_sigma) == (
             b.statistic_observed, b.p_value, b.bandwidth_sigma)
 
@@ -202,7 +202,7 @@ class TestTwoSampleTest:
         rng = np.random.default_rng(59)
         x = rng.normal(size=50)
         y = rng.normal(1.0, 1.0, size=60)
-        out = two_sample_test(x, y, TestConfig(seed=4))
+        out = two_sample_test(x, y, StatisticalParams(), 4)
         direct = mmd2_by_definition(x, y, out.bandwidth_sigma)
         assert out.statistic_observed == pytest.approx(direct, abs=1e-10)
 
@@ -210,7 +210,7 @@ class TestTwoSampleTest:
         rng = np.random.default_rng(60)
         x = rng.normal(size=30)
         y = rng.normal(size=45)
-        out = two_sample_test(x, y, TestConfig(seed=5, statistic="energy"))
+        out = two_sample_test(x, y, StatisticalParams(statistic="energy"), 5)
         assert out.statistic_observed == pytest.approx(energy_by_definition(x, y), abs=1e-10)
         assert out.bandwidth_sigma is None  # energy has no kernel bandwidth
 
@@ -220,7 +220,7 @@ class TestTwoSampleTest:
         for i in range(60):
             x = rng.normal(size=50)
             y = rng.normal(size=50)
-            ps.append(two_sample_test(x, y, TestConfig(permutations=99, seed=i)).p_value)
+            ps.append(two_sample_test(x, y, StatisticalParams(permutations=99), i).p_value)
         assert np.mean(ps) > 0.3  # not systematically anti-conservative
         assert min(ps) >= 1 / 100
 
@@ -233,13 +233,13 @@ class TestTwoSampleTest:
         for i in range(10):
             x = rng.normal(0.0, 1.0, size=int(rng.integers(2, 60)))
             y = rng.normal(float(rng.uniform(0, 1)), 1.0, size=int(rng.integers(2, 80)))
-            cfg = TestConfig(permutations=49, statistic=statistic, seed=i)
-            out = two_sample_test(x, y, cfg)
+            params = StatisticalParams(permutations=49, statistic=statistic)
+            out = two_sample_test(x, y, params, i)
             if statistic == "mmd2":
                 stat = lambda a, b: mmd2_unbiased(a, b, out.bandwidth_sigma)
             else:
                 stat = energy_distance
-            assert out.p_value == permutation_test(x, y, stat, cfg.permutations, seed=cfg.seed)
+            assert out.p_value == permutation_test(x, y, stat, params.permutations, seed=i)
 
     def test_mmd2_equals_dense_reference_exactly(self):
         # Sigma and the p-value equal those of the full pooled matrix:
@@ -254,7 +254,7 @@ class TestTwoSampleTest:
         for i, (m, n) in enumerate(sizes + [(40, 2100)]):
             x = rng.normal(0.0, 1.0, size=m)
             y = rng.normal(float(rng.uniform(0.0, 0.5)), 1.0, size=n)
-            out = two_sample_test(x, y, TestConfig(permutations=49, seed=i))
+            out = two_sample_test(x, y, StatisticalParams(permutations=49), i)
             stat, sigma, p_value = dense_two_sample_test(x, y, permutations=49, seed=i)
             assert out.statistic_observed == pytest.approx(stat, rel=1e-12, abs=1e-15)
             assert (out.bandwidth_sigma, out.p_value) == (sigma, p_value)
@@ -264,7 +264,7 @@ class TestTwoSampleTest:
         for i in range(8):
             x = rng.normal(0.0, 1.0, size=int(rng.integers(1, 200)))
             y = rng.normal(float(rng.uniform(0.0, 0.5)), 1.0, size=int(rng.integers(1, 1300)))
-            out = two_sample_test(x, y, TestConfig(permutations=49, statistic="energy", seed=i))
+            out = two_sample_test(x, y, StatisticalParams(permutations=49, statistic="energy"), i)
             stat, sigma, p_value = dense_two_sample_test(x, y, permutations=49,
                                                          statistic="energy", seed=i)
             assert out.statistic_observed == pytest.approx(stat, rel=1e-10)
@@ -279,7 +279,7 @@ class TestTwoSampleTest:
         for i in range(5):
             x = rng.normal(size=int(rng.integers(9, 40)))
             y = rng.normal(0.5, 1.0, size=int(rng.integers(9, 60)))
-            out = two_sample_test(x, y, TestConfig(permutations=49, seed=i))
+            out = two_sample_test(x, y, StatisticalParams(permutations=49), i)
             stat, sigma, p_value = dense_two_sample_test(x, y, permutations=49, seed=i)
             assert out.statistic_observed == pytest.approx(stat, rel=1e-12, abs=1e-15)
             assert (out.bandwidth_sigma, out.p_value) == (sigma, p_value)
@@ -309,7 +309,7 @@ class TestTwoSampleTest:
         for i, (m, n) in enumerate([(300, 20), (150, 149), (60, 2), (500, 3), (2100, 40)]):
             x = rng.normal(0.0, 1.0, size=m)
             y = rng.normal(float(rng.uniform(0.0, 0.5)), 1.0, size=n)
-            out = two_sample_test(x, y, TestConfig(permutations=19, seed=i))
+            out = two_sample_test(x, y, StatisticalParams(permutations=19), i)
             stat, sigma, p_value = dense_two_sample_test(x, y, permutations=19, seed=i)
             assert (out.bandwidth_sigma, out.p_value) == (sigma, p_value)
             if m + n <= 600:
@@ -324,7 +324,7 @@ class TestTwoSampleTest:
         x, y = rng.normal(size=4000), rng.normal(0.1, 1.0, size=4000)
         tracemalloc.start()
         try:
-            two_sample_test(x, y, TestConfig(permutations=19, statistic=statistic))
+            two_sample_test(x, y, StatisticalParams(permutations=19, statistic=statistic))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -341,8 +341,8 @@ class TestTwoSampleTest:
             m = int(rng.integers(2, 25))
             n = m if i % 4 < 2 else int(rng.integers(2, 25))
             x, y = rng.choice(levels, size=m), rng.choice(levels, size=n)
-            cfg = TestConfig(permutations=99, statistic=statistic, seed=i)
-            out = two_sample_test(x, y, cfg)
+            params = StatisticalParams(permutations=99, statistic=statistic)
+            out = two_sample_test(x, y, params, i)
             pooled = np.concatenate([x, y]).tolist()
             if statistic == "mmd2":
                 sigma = out.bandwidth_sigma
@@ -351,25 +351,25 @@ class TestTwoSampleTest:
             else:
                 stat, pair = energy_by_definition, lambda u, v: abs(u - v)
             total = math.fsum(pair(u, v) for u in pooled for v in pooled)
-            assert out.p_value == permutation_test(x, y, stat, cfg.permutations, seed=cfg.seed,
+            assert out.p_value == permutation_test(x, y, stat, params.permutations, seed=i,
                                                    tie_scale=total / n**2)
-            assert out.p_value == dense_two_sample_test(x, y, cfg.permutations,
-                                                        statistic=statistic, seed=cfg.seed)[2]
+            assert out.p_value == dense_two_sample_test(x, y, params.permutations,
+                                                        statistic=statistic, seed=i)[2]
             if m == n:
-                assert two_sample_test(y, x, cfg).p_value == out.p_value
+                assert two_sample_test(y, x, params, i).p_value == out.p_value
 
     def test_subsampling_respects_cap(self):
         rng = np.random.default_rng(62)
         x = rng.normal(size=500)
         y = rng.normal(size=500)
-        out = two_sample_test(x, y, TestConfig(sample_cap=100, permutations=19, seed=0))
+        out = two_sample_test(x, y, StatisticalParams(sample_cap=100, permutations=19), 0)
         assert out.p_value >= 1 / 20
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TestConfig(permutations=5)
+            StatisticalParams(permutations=5)
         with pytest.raises(ValueError):
-            TestConfig(statistic="hotelling")
+            StatisticalParams(statistic="hotelling")
 
     def test_quadratic_scaling_bound(self):
         # One test at 2n points should cost no more than ~quadratic over n.
@@ -380,7 +380,7 @@ class TestTwoSampleTest:
             best = np.inf
             for _ in range(3):
                 t0 = time.perf_counter()
-                two_sample_test(x, y, TestConfig(permutations=49, seed=0))
+                two_sample_test(x, y, StatisticalParams(permutations=49), 0)
                 best = min(best, time.perf_counter() - t0)
             return best
         t1, t2 = runtime(150), runtime(300)
@@ -404,11 +404,11 @@ class TestSequentialStop:
         for i in range(family):
             x = rng.normal(float(rng.uniform(0.0, 1.5)), 1.0, size=int(rng.integers(2, 30)))
             y = rng.normal(size=int(rng.integers(2, 60)))
-            cfg = TestConfig(permutations=permutations, statistic=statistic, seed=seed + i)
-            full.append(two_sample_test(x, y, cfg))
-            stopped.append(two_sample_test(x, y, cfg, stop_above=alpha))
+            params = StatisticalParams(permutations=permutations, statistic=statistic)
+            full.append(two_sample_test(x, y, params, seed + i))
+            stopped.append(two_sample_test(x, y, params, seed + i, stop_above=alpha))
             with mock.patch.object(stats, "KERNEL_BLOCK_ELEMENTS", 64):
-                small = two_sample_test(x, y, cfg, stop_above=alpha)
+                small = two_sample_test(x, y, params, seed + i, stop_above=alpha)
             assert (small.p_value, small.permutations_run) == (stopped[-1].p_value,
                                                                stopped[-1].permutations_run)
             f, s = full[-1], stopped[-1]
@@ -428,7 +428,7 @@ class TestSequentialStop:
             run = s.permutations_run
             for b, count in ((run, h), (run - 1, h - 1)):
                 if b > 0:
-                    p = permutation_test(x, y, stat, b, seed=cfg.seed,
+                    p = permutation_test(x, y, stat, b, seed=seed + i,
                                          tie_scale=pairs.sum() / y.size**2)
                     assert round(p * (b + 1)) - 1 == count
         assert (bh_fdr([f.p_value for f in full], alpha).tolist()
