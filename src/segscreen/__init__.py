@@ -34,9 +34,7 @@ from .geometry import (
     bbox_of_mask,
     boxes_to_mask,
     build_rois,
-    load_plan,
     pad_bbox,
-    plan_from_dict,
     scale_bbox,
     square_bbox,
 )
@@ -50,7 +48,15 @@ from .metrics import (
     slice_sensitivity_specificity,
     soft_dice,
 )
-from .pipeline import CaseResult, ManifestEntry, load_manifest, process_case, run_manifest
+from .pipeline import (
+    CaseResult,
+    ManifestEntry,
+    load_manifest,
+    load_plan,
+    plan_from_dict,
+    process_case,
+    run_manifest,
+)
 from .segmentor import (
     Blob,
     ClutterSpec,

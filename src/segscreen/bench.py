@@ -16,26 +16,22 @@ results are identical across runs and across any degree of parallelism.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .gating import GateConfig, json_fields
-from .geometry import AnatomyPlan
-from .grid import BinaryMask, ScalarGrid
+from .gating import TAU_BIN_MIN, GateConfig, from_json, read_json
+from .geometry import DEFAULT_ANCHOR_THRESHOLD, AnatomyPlan
+from .grid import BinaryMask, ScalarGrid, check_spacing
 from .metrics import SliceOutcome, slice_sensitivity_specificity
 from .pipeline import map_ordered, process_case
-from .segmentor import Blob, ClutterSpec, SyntheticBackend, SyntheticSceneSpec, _blob_field
+from .segmentor import (Blob, ClutterSpec, SyntheticBackend, SyntheticSceneSpec, _blob_field,
+                        check_blob)
 from .stats import derive_seed
 
 IOU_MATCH_THRESHOLD = 0.5
-# Intensity paint must cover any candidate pixels; candidates come from
-# thresholding at tau_bin >= 0.30, so painting the 0.30 super-level disc
-# of each blob is always sufficient.
-_PAINT_LEVEL = 0.30
 
 
 @dataclass(frozen=True)
@@ -62,46 +58,47 @@ class BenchSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # The rules of the blobs and scene that make_case builds from these
+        # fields, so that a spec accepted here generates every case.
         if self.n_cases < 0:
             raise ValueError(f"n_cases must be >= 0, got {self.n_cases}")
         if not (0.0 <= self.fraction_positive <= 1.0):
             raise ValueError(f"fraction_positive must lie in [0, 1], got {self.fraction_positive}")
-        if self.effect_size < 0:
-            raise ValueError(f"effect_size must be >= 0, got {self.effect_size}")
         if self.clutter_rate < 0:
             raise ValueError(f"clutter_rate must be >= 0, got {self.clutter_rate}")
-        if self.lesion_area_px <= 0 or self.organ_radius < 1:
-            raise ValueError("lesion area and organ radius must be positive")
+        for name in ("effect_size", "background_sd", "control_sd"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("background_mean", "control_mean"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if len(self.frame) != 2 or not all(isinstance(v, int) and v > 0 for v in self.frame):
             raise ValueError(f"frame must be two positive ints, got {list(self.frame)}")
-        if len(self.spacing) != 2 or not all(math.isfinite(v) and v > 0 for v in self.spacing):
-            raise ValueError(f"spacing must be two finite positive floats, got {list(self.spacing)}")
+        check_spacing(self.spacing)
         for name in ("clutter_radius", "clutter_peak"):
             pair = getattr(self, name)
             if len(pair) != 2 or pair[0] > pair[1]:
                 raise ValueError(f"{name} must be an ordered pair [low, high], got {list(pair)}")
+        if not (math.pi <= self.lesion_area_px < math.inf):
+            raise ValueError(f"lesion_area_px must be finite and >= pi (a lesion radius of 1 px), "
+                             f"got {self.lesion_area_px}")
+        check_blob(self.organ_radius, self.organ_peak, "organ_")
+        check_blob(math.sqrt(self.lesion_area_px / math.pi), self.lesion_peak, "lesion_")
+        for radius, peak in zip(self.clutter_radius, self.clutter_peak):
+            check_blob(radius, peak, "clutter_")
+        SyntheticSceneSpec(self.frame, self.spacing, noise_floor=self.noise_floor)
+        min_side = 1.0 + 2.0 * _level_radius(self.clutter_radius[1], self.clutter_peak[1], TAU_BIN_MIN)
+        if self.clutter_rate > 0 and min(self.frame) < min_side:
+            raise ValueError(f"frame must be at least {min_side:.2f} px on each side to hold the "
+                             f"widest, brightest clutter blob, got {list(self.frame)}")
 
     @classmethod
     def from_dict(cls, data: dict, source: str = "<bench spec>") -> "BenchSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"{source}: bench spec must be a JSON object")
-        valid = set(cls.__dataclass_fields__)
-        bad = set(data) - valid
-        if bad:
-            raise ValueError(f"{source}: unknown bench spec fields {sorted(bad)}")
-        typed = json_fields(cls, data, source)
-        try:
-            return cls(**typed)
-        except ValueError as err:
-            raise ValueError(f"{source}: {err}") from err
+        return from_json(cls, data, source, what="bench spec")
 
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "BenchSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{path}: invalid JSON in bench spec: {err}") from err
+        data = read_json(path, "bench spec")
         # The pinned layout holds the spec under "spec", next to its pinned targets.
         if isinstance(data, dict) and set(data) - {"pinned"} == {"spec"}:
             data = data["spec"]
@@ -143,14 +140,17 @@ def make_case(spec: BenchSpec, index: int) -> SyntheticCase:
     ocx, ocy = (w - 1) / 2.0, (h - 1) / 2.0
     organ = Blob(ocx, ocy, spec.organ_radius, spec.organ_peak)
     # Radius of the binarized control mask at the default anchor threshold.
-    control_radius = _level_radius(spec.organ_radius, spec.organ_peak, 0.5)
+    control_radius = _level_radius(spec.organ_radius, spec.organ_peak, DEFAULT_ANCHOR_THRESHOLD)
 
     lesion_blobs: tuple[Blob, ...] = ()
     lesion_masks: list[BinaryMask] = []
     lesion_paint: list[tuple[float, float, float]] = []
     if positive:
         r_l = math.sqrt(spec.lesion_area_px / math.pi)
-        paint_r = _level_radius(r_l, spec.lesion_peak, _PAINT_LEVEL)
+        # Intensity paint must cover any candidate pixels. Candidates come
+        # from thresholding at tau_bin >= TAU_BIN_MIN, so painting each
+        # blob's disc down to that level always suffices.
+        paint_r = _level_radius(r_l, spec.lesion_peak, TAU_BIN_MIN)
         budget = max(0.0, control_radius - paint_r - 1.0)
         ang = rng.uniform(0.0, 2.0 * math.pi)
         dist = math.sqrt(rng.uniform(0.0, 1.0)) * budget
@@ -168,7 +168,7 @@ def make_case(spec: BenchSpec, index: int) -> SyntheticCase:
     for _ in range(spec.clutter_rate):
         radius = rng.uniform(*spec.clutter_radius)
         peak = rng.uniform(*spec.clutter_peak)
-        margin = _level_radius(radius, peak, _PAINT_LEVEL)
+        margin = _level_radius(radius, peak, TAU_BIN_MIN)
         for _ in range(200):
             cx = rng.uniform(margin, w - 1 - margin)
             cy = rng.uniform(margin, h - 1 - margin)
@@ -191,11 +191,11 @@ def make_case(spec: BenchSpec, index: int) -> SyntheticCase:
     )
 
     canvas = rng.normal(spec.background_mean, spec.background_sd, size=(h, w))
-    control_bits = _blob_field(spec.frame, (organ,)) >= 0.5
+    control_bits = _blob_field(spec.frame, (organ,)) >= DEFAULT_ANCHOR_THRESHOLD
     canvas[control_bits] = rng.normal(spec.control_mean, spec.control_sd,
                                       size=int(control_bits.sum()))
     for b in clutter:
-        _paint_disc(rng, canvas, b.cx, b.cy, _level_radius(b.radius, b.peak, _PAINT_LEVEL),
+        _paint_disc(rng, canvas, b.cx, b.cy, _level_radius(b.radius, b.peak, TAU_BIN_MIN),
                     spec.control_mean, spec.control_sd)
     shift = spec.effect_size * spec.control_sd
     for lcx, lcy, paint_r in lesion_paint:

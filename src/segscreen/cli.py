@@ -16,7 +16,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .bench import BenchSpec, run_bench
-from .gating import GateConfig, GeometricParams, ScoringParams
+from .gating import GateConfig, GeometricParams, ScoringParams, read_json
 from .pipeline import TIMING_STAGES, _jsonable, load_manifest, run_manifest
 from .stats import STATISTIC_KINDS, StatisticalParams, two_sample_test
 
@@ -148,10 +148,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     try:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"error: cannot read report {args.report}: {err}", file=sys.stderr)
+        report = read_json(args.report, "report")
+    except (OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
     lines = [f"image: {report.get('image_id', '?')}"]
     if "error" in report:

@@ -14,55 +14,122 @@ keeps every non-empty survivor set.
 Comparisons transcribe the rule directions literally: ">="-style
 requirements pass at equality, "<"-style rejections do not trigger at
 equality.
+
+The gates' config lives here too, with the one JSON reader that configs,
+bench specs, manifests and plans go through: ``read_json`` parses a
+file, and ``from_json`` types a JSON object by a settings class's
+annotations, rejects unknown keys and builds the class, which checks
+its own values.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 import os
+import types
+import typing
 from dataclasses import asdict, dataclass, field, replace
 
 from .candidates import CandidateRegion
 from .fusion import check_view_rule
-from .geometry import check_padding_mm, check_scales
+from .geometry import DEFAULT_PADDING_MM, DEFAULT_SCALES, check_padding_mm, check_scales
 from .grid import BinaryMask, ScalarGrid, positive_ratio
 from .stats import StatisticalParams, ks_two_sample
 
+# The range of tau_bin; no candidate pixel lies below TAU_BIN_MIN.
+TAU_BIN_MIN, TAU_BIN_MAX = 0.30, 0.55
 
-def _has_type(value, typ: type) -> bool:
+
+def read_json(path: str | os.PathLike, what: str):
+    """The parsed JSON file at ``path``; a parse error names the file and ``what``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: invalid JSON in {what}: {err}") from err
+
+
+@functools.cache
+def json_types(cls) -> types.MappingProxyType:
+    """Each field of dataclass ``cls`` with its annotated type, read-only
+    because every caller shares it."""
+    hints = typing.get_type_hints(cls)
+    return types.MappingProxyType({f.name: hints[f.name] for f in dataclasses.fields(cls)})
+
+
+def _has_type(value, typ) -> bool:
     if isinstance(value, bool) and typ is not bool:
         return False  # JSON true/false is never a number
     return isinstance(value, (int, float) if typ is float else typ)
 
 
-def json_fields(params_cls, entries: dict, source: str, section: str | None = None) -> dict:
-    """JSON ``entries`` converted to the types of ``params_cls``'s field
-    defaults: an int stands for a float, a bool is never a number, and a
-    tuple field takes a list of its default's element type. An error
-    names the source and the key."""
-    out = {}
-    for key, value in entries.items():
-        default = params_cls.__dataclass_fields__[key].default
-        name = f"{section}.{key}" if section else key
-        if isinstance(default, tuple):
-            typ = type(default[0])
-            if not isinstance(value, (list, tuple)) or not all(_has_type(v, typ) for v in value):
-                raise ValueError(f"{source}: {name} must be a list of {typ.__name__}, got {value!r}")
-            out[key] = tuple(typ(v) for v in value)
-        else:
-            typ = type(default)
-            if not _has_type(value, typ):
-                raise ValueError(f"{source}: {name} must be {typ.__name__}, got {value!r}")
-            out[key] = typ(value)
-    return out
+def _json_value(value, typ, source: str, name: str):
+    if dataclasses.is_dataclass(typ):
+        return from_json(typ, value, source, section=name)
+    if typing.get_origin(typ) is types.UnionType:  # X | None
+        if value is None:
+            return None
+        typ = typing.get_args(typ)[0]
+    if typing.get_origin(typ) is tuple:
+        item = typing.get_args(typ)[0]
+        if not isinstance(value, (list, tuple)) or not all(_has_type(v, item) for v in value):
+            raise ValueError(f"{source}: {name} must be a list of {item.__name__}, got {value!r}")
+        return tuple(item(v) for v in value)
+    if not _has_type(value, typ):
+        raise ValueError(f"{source}: {name} must be {typ.__name__}, got {value!r}")
+    return typ(value)
+
+
+def json_fields(data, schema: dict, source: str, what: str, section: str | None = None) -> dict:
+    """The JSON object ``data`` with each value converted to the type that
+    ``schema`` gives its key: an int stands for a float, a bool is never a
+    number, a list stands for a tuple of its element type, null for the
+    None of ``X | None``, and an object for a dataclass. Any other value,
+    a key missing from ``schema`` or a ``data`` that is not an object is an
+    error naming ``source`` and the key (``section.key`` in a section);
+    ``what`` names the object itself."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{source}: {what} must be a JSON object")
+    unknown = set(data) - set(schema)
+    if unknown:
+        raise ValueError(f"{source}: unknown {what} fields {sorted(unknown)}")
+    return {key: _json_value(value, schema[key], source, f"{section}.{key}" if section else key)
+            for key, value in data.items()}
+
+
+def build(cls, source: str, **values):
+    """``cls(**values)``, with ``source`` naming the input in its errors."""
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in values
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"{source}: missing fields {missing}")
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ValueError(f"{source}: {err}") from err
+
+
+def from_json(cls, data, source: str, section: str | None = None, what: str | None = None):
+    """Dataclass ``cls`` from the JSON object ``data``, typed by the class's
+    annotations as json_fields says; ``what`` defaults to ``section``."""
+    return build(cls, source, **json_fields(data, json_types(cls), source, what or section, section))
 
 
 @dataclass(frozen=True)
 class ScoringParams:
     tau_bin: float = 0.4
     view_rule: str = "max"
-    scales: tuple[float, ...] = (0.8, 1.0, 1.2)
+    scales: tuple[float, ...] = DEFAULT_SCALES
+
+    def __post_init__(self) -> None:
+        if not (TAU_BIN_MIN <= self.tau_bin <= TAU_BIN_MAX):
+            raise ValueError(f"tau_bin must lie in [{TAU_BIN_MIN:.2f}, {TAU_BIN_MAX:.2f}], "
+                             f"got {self.tau_bin}")
+        check_view_rule(self.view_rule)
+        check_scales(self.scales)
 
 
 @dataclass(frozen=True)
@@ -74,34 +141,28 @@ class GeometricParams:
     tau_intersect: float = 0.05
     tau_case: float = 2.0
     pre_filter_area: int = 50
-    padding_mm: float = 25.0
+    padding_mm: float = DEFAULT_PADDING_MM
+
+    def __post_init__(self) -> None:
+        for name in ("tau_max", "tau_ratio", "tau_mean", "tau_intersect"):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        for name in ("a_min", "pre_filter_area"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not (0.0 <= self.tau_case < math.inf):
+            raise ValueError(f"tau_case must be finite and >= 0, got {self.tau_case}")
+        check_padding_mm((self.padding_mm,))
 
 
 @dataclass(frozen=True)
 class GateConfig:
-    """The three parameter groups with their fixed defaults."""
+    """The three parameter groups with their fixed defaults; each group
+    checks its own values when it is built."""
 
     scoring: ScoringParams = field(default_factory=ScoringParams)
     statistical: StatisticalParams = field(default_factory=StatisticalParams)
     geometric: GeometricParams = field(default_factory=GeometricParams)
-
-    def __post_init__(self) -> None:
-        # Rules that belong to the stage consuming a value are applied by
-        # that stage's own checks, so a config accepted here cannot fail
-        # an image later. StatisticalParams checks itself when it is built.
-        s, g = self.scoring, self.geometric
-        if not (0.30 <= s.tau_bin <= 0.55):
-            raise ValueError(f"tau_bin must lie in [0.30, 0.55], got {s.tau_bin}")
-        check_view_rule(s.view_rule)
-        check_scales(s.scales)
-        for name in ("tau_max", "tau_ratio", "tau_mean", "tau_intersect"):
-            if not (0.0 <= getattr(g, name) <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {getattr(g, name)}")
-        if g.a_min < 0 or g.pre_filter_area < 0:
-            raise ValueError("area thresholds must be >= 0")
-        if g.tau_case < 0:
-            raise ValueError(f"tau_case must be >= 0, got {g.tau_case}")
-        check_padding_mm((g.padding_mm,))
 
     def to_dict(self) -> dict:
         return {"scoring": asdict(self.scoring), "statistical": asdict(self.statistical),
@@ -109,39 +170,11 @@ class GateConfig:
 
     @classmethod
     def from_dict(cls, data: dict, source: str = "<config>") -> "GateConfig":
-        if not isinstance(data, dict):
-            raise ValueError(f"{source}: config must be a JSON object")
-        known = {"scoring", "statistical", "geometric"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"{source}: unknown config sections {sorted(unknown)}")
-        kwargs = {}
-        for section, params_cls in (("scoring", ScoringParams), ("statistical", StatisticalParams),
-                                    ("geometric", GeometricParams)):
-            if section not in data:
-                continue
-            entries = data[section]
-            if not isinstance(entries, dict):
-                raise ValueError(f"{source}: section {section!r} must be an object")
-            valid = set(params_cls.__dataclass_fields__)
-            bad = set(entries) - valid
-            if bad:
-                raise ValueError(f"{source}: unknown keys {sorted(bad)} in section {section!r}")
-            kwargs[section] = (params_cls, json_fields(params_cls, entries, source, section))
-        try:
-            return cls(**{section: params_cls(**values)
-                          for section, (params_cls, values) in kwargs.items()})
-        except ValueError as err:
-            raise ValueError(f"{source}: {err}") from err
+        return from_json(cls, data, source, what="config")
 
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "GateConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{path}: invalid JSON in config file: {err}") from err
-        return cls.from_dict(data, source=str(path))
+        return cls.from_dict(read_json(path, "config file"), source=str(path))
 
     def override(self, **flat) -> "GateConfig":
         """Apply flat field overrides like tau_bin=0.35 across sections."""

@@ -10,17 +10,16 @@ frame itself, so the requested area is preserved whenever possible.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import BinaryMask
 
+# Defaults of the plan's ROI fields, which the config also uses.
 DEFAULT_SCALES = (0.8, 1.0, 1.2)
-DEFAULT_PADDING_MM = (25.0, 25.0)
+DEFAULT_PADDING_MM = 25.0
 DEFAULT_ANCHOR_THRESHOLD = 0.5
 
 
@@ -67,7 +66,7 @@ class AnatomyPlan:
 
     anchors: tuple[str, ...]
     tumor_prompt: str
-    padding_mm: tuple[float, float] = DEFAULT_PADDING_MM
+    padding_mm: tuple[float, float] = (DEFAULT_PADDING_MM, DEFAULT_PADDING_MM)
     scales: tuple[float, ...] = DEFAULT_SCALES
     square: bool = True
     rationale: str = ""
@@ -79,6 +78,8 @@ class AnatomyPlan:
         if not self.tumor_prompt:
             raise ValueError("tumor_prompt must be a non-empty string")
         check_scales(self.scales)
+        if len(self.padding_mm) != 2:
+            raise ValueError(f"padding_mm must be a pair of numbers, got {list(self.padding_mm)}")
         check_padding_mm(self.padding_mm)
         if not (0.0 <= self.anchor_threshold <= 1.0):
             raise ValueError(f"anchor_threshold must lie in [0, 1], got {self.anchor_threshold}")
@@ -94,87 +95,6 @@ def check_padding_mm(padding_mm) -> None:
     """ROI padding: finite and non-negative millimetres on every axis."""
     if any(not (p >= 0 and math.isfinite(p)) for p in padding_mm):
         raise ValueError(f"padding_mm must be finite and >= 0, got {padding_mm}")
-
-
-def plan_from_dict(
-    data: dict,
-    source: str = "<plan>",
-    default_scales: tuple[float, ...] = DEFAULT_SCALES,
-    default_padding_mm: tuple[float, float] = DEFAULT_PADDING_MM,
-) -> AnatomyPlan:
-    """Build a validated AnatomyPlan from parsed JSON, field by field.
-
-    Plans arrive from an external generator, so every field's JSON type
-    is checked here with an explicit error naming the offending entry;
-    value ranges are AnatomyPlan's, and every error is prefixed with
-    ``source``. A scalar ``padding_mm`` broadcasts to both axes.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"{source}: plan must be a JSON object")
-
-    anchors = data.get("anchors")
-    if not isinstance(anchors, list) or not all(isinstance(a, str) for a in anchors):
-        raise ValueError(f"{source}: 'anchors' must be a list of strings")
-
-    tumor_prompt = data.get("tumor_prompt")
-    if not isinstance(tumor_prompt, str):
-        raise ValueError(f"{source}: 'tumor_prompt' must be a string")
-
-    roi = data.get("roi", {})
-    if not isinstance(roi, dict):
-        raise ValueError(f"{source}: 'roi' must be an object")
-
-    padding = roi.get("padding_mm", default_padding_mm)
-    if isinstance(padding, (int, float)):
-        padding = (float(padding), float(padding))
-    elif (isinstance(padding, (list, tuple)) and len(padding) == 2
-          and all(isinstance(p, (int, float)) for p in padding)):
-        padding = (float(padding[0]), float(padding[1]))
-    else:
-        raise ValueError(f"{source}: 'roi.padding_mm' must be a number or a pair of numbers")
-
-    scales = roi.get("scales", list(default_scales))
-    if not isinstance(scales, list) or not all(isinstance(s, (int, float)) for s in scales):
-        raise ValueError(f"{source}: 'roi.scales' must be a list of numbers")
-
-    square = roi.get("square", True)
-    if not isinstance(square, bool):
-        raise ValueError(f"{source}: 'roi.square' must be a boolean")
-
-    rationale = data.get("rationale", "")
-    if not isinstance(rationale, str):
-        raise ValueError(f"{source}: 'rationale' must be a string")
-
-    threshold = data.get("anchor_threshold", DEFAULT_ANCHOR_THRESHOLD)
-    if not isinstance(threshold, (int, float)):
-        raise ValueError(f"{source}: 'anchor_threshold' must be a number")
-
-    try:
-        return AnatomyPlan(
-            anchors=tuple(anchors),
-            tumor_prompt=tumor_prompt,
-            padding_mm=padding,
-            scales=tuple(float(s) for s in scales),
-            square=square,
-            rationale=rationale,
-            anchor_threshold=float(threshold),
-        )
-    except ValueError as err:
-        raise ValueError(f"{source}: {err}") from err
-
-
-def load_plan(
-    path: str | os.PathLike,
-    default_scales: tuple[float, ...] = DEFAULT_SCALES,
-    default_padding_mm: tuple[float, float] = DEFAULT_PADDING_MM,
-) -> AnatomyPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: invalid JSON in plan file: {err}") from err
-    return plan_from_dict(data, source=str(path), default_scales=default_scales,
-                          default_padding_mm=default_padding_mm)
 
 
 def bbox_of_mask(mask: BinaryMask) -> BoundingBox:

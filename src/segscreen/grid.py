@@ -15,9 +15,20 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def check_spacing(spacing) -> tuple[float, float]:
+    """Pixel spacing (s_x, s_y) in mm, which must be two finite, strictly
+    positive numbers; returned as floats."""
+    if len(spacing) == 2:
+        sx, sy = float(spacing[0]), float(spacing[1])
+        if 0.0 < sx < math.inf and 0.0 < sy < math.inf:
+            return sx, sy
+    raise ValueError(f"spacing must be two strictly positive finite numbers, got {spacing}")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -45,11 +56,8 @@ class ScalarGrid:
             raise ValueError(f"grid values must be 2D and non-empty, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("grid values must all be finite")
-        sx, sy = float(self.spacing[0]), float(self.spacing[1])
-        if not (np.isfinite(sx) and np.isfinite(sy) and sx > 0 and sy > 0):
-            raise ValueError(f"spacing must be strictly positive and finite, got {self.spacing}")
         object.__setattr__(self, "values", _readonly(arr))
-        object.__setattr__(self, "spacing", (sx, sy))
+        object.__setattr__(self, "spacing", check_spacing(self.spacing))
 
     @property
     def width(self) -> int:

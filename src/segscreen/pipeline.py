@@ -29,9 +29,11 @@ import numpy as np
 
 from .candidates import CandidateRegion, candidates_to_mask, connected_components, describe, filter_min_area
 from .fusion import run_tta
-from .gating import GateConfig, GateVerdict, gate_candidate, gate_case, gate_existence
-from .geometry import AnatomyPlan, boxes_to_mask, build_rois, load_plan
-from .grid import BinaryMask, ScalarGrid, binarize
+from .gating import (GateConfig, GateVerdict, build, gate_candidate, gate_case, gate_existence,
+                     json_fields, json_types, read_json)
+from .geometry import (DEFAULT_PADDING_MM, DEFAULT_SCALES, AnatomyPlan, boxes_to_mask,
+                       build_rois)
+from .grid import BinaryMask, ScalarGrid, binarize, check_spacing
 from .metrics import MetricsReport
 from .segmentor import SegmentorRequest
 from .sgrid import read_mask, read_sgrid
@@ -40,6 +42,13 @@ from .stats import (MIN_SAMPLE_SIZE, StatisticalParams, TestOutcome, bh_fdr, der
 
 # The stages process_case times into report["timing"], in pipeline order.
 TIMING_STAGES = ("rois", "fusion", "l1", "candidates", "screen", "gates")
+
+
+# The JSON type of each key of a manifest entry; the first four are required.
+_ENTRY_SCHEMA = {"image_id": str, "intensity": str, "prompts": dict, "plan": str,
+                 "ground_truth": str | None, "spacing": tuple[float, float] | None}
+# The plan fields that a plan file holds in its "roi" object.
+_ROI_KEYS = ("padding_mm", "scales", "square")
 
 
 @dataclass
@@ -55,12 +64,8 @@ class ManifestEntry:
 def load_manifest(path: str | os.PathLike) -> list[ManifestEntry]:
     """Parse and validate a dataset manifest; every referenced file must exist."""
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: invalid JSON in manifest: {err}") from err
-    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
+    data = json_fields(read_json(path, "manifest"), {"entries": list}, path, "manifest")
+    if "entries" not in data:
         raise ValueError(f"{path}: manifest must be an object with an 'entries' list")
 
     def resolve(p: str) -> str:
@@ -70,39 +75,31 @@ def load_manifest(path: str | os.PathLike) -> list[ManifestEntry]:
     seen = set()
     for i, raw in enumerate(data["entries"]):
         where = f"{path}: entries[{i}]"
-        if not isinstance(raw, dict):
-            raise ValueError(f"{where}: must be an object")
+        raw = json_fields(raw, _ENTRY_SCHEMA, path, f"entries[{i}]", f"entries[{i}]")
         image_id = raw.get("image_id")
-        if not isinstance(image_id, str) or not image_id:
+        if not image_id:
             raise ValueError(f"{where}: 'image_id' must be a non-empty string")
         if image_id in seen:
             raise ValueError(f"{where}: duplicate image_id {image_id!r}")
         seen.add(image_id)
-        intensity = raw.get("intensity")
-        if not isinstance(intensity, str):
-            raise ValueError(f"{where}: 'intensity' must be a path string")
+        for key in ("intensity", "plan"):
+            if key not in raw:
+                raise ValueError(f"{where}: '{key}' must be a path string")
         prompts = raw.get("prompts")
-        if not isinstance(prompts, dict) or not prompts or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in prompts.items()
-        ):
+        if not prompts or not all(isinstance(v, str) for v in prompts.values()):
             raise ValueError(f"{where}: 'prompts' must map prompt strings to map paths")
-        plan = raw.get("plan")
-        if not isinstance(plan, str):
-            raise ValueError(f"{where}: 'plan' must be a path string")
-        gt = raw.get("ground_truth")
-        if gt is not None and not isinstance(gt, str):
-            raise ValueError(f"{where}: 'ground_truth' must be a path string when present")
         spacing = raw.get("spacing")
         if spacing is not None:
-            if (not isinstance(spacing, (list, tuple)) or len(spacing) != 2
-                    or not all(isinstance(v, (int, float)) and v > 0 for v in spacing)):
-                raise ValueError(f"{where}: 'spacing' must be two positive numbers when present")
-            spacing = (float(spacing[0]), float(spacing[1]))
+            try:
+                spacing = check_spacing(spacing)
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from None
+        gt = raw.get("ground_truth")
         entry = ManifestEntry(
             image_id=image_id,
-            intensity_path=resolve(intensity),
+            intensity_path=resolve(raw["intensity"]),
             prompt_paths={k: resolve(v) for k, v in prompts.items()},
-            plan_path=resolve(plan),
+            plan_path=resolve(raw["plan"]),
             spacing=spacing,
             ground_truth_path=resolve(gt) if gt else None,
         )
@@ -113,6 +110,35 @@ def load_manifest(path: str | os.PathLike) -> list[ManifestEntry]:
                 raise ValueError(f"{where}: referenced file does not exist: {candidate_path}")
         entries.append(entry)
     return entries
+
+
+def plan_from_dict(
+    data,
+    source: str = "<plan>",
+    default_scales: tuple[float, ...] = DEFAULT_SCALES,
+    default_padding_mm: tuple[float, float] = (DEFAULT_PADDING_MM, DEFAULT_PADDING_MM),
+) -> AnatomyPlan:
+    """An AnatomyPlan from a planner's parsed JSON, which holds padding_mm,
+    scales and square in a ``roi`` object. Keys and types are checked as
+    in a config section; a scalar ``roi.padding_mm`` broadcasts to both
+    axes, and missing ROI fields take the configured defaults."""
+    schema = json_types(AnatomyPlan)
+    top = {k: t for k, t in schema.items() if k not in _ROI_KEYS}
+    plan = json_fields(data, {**top, "roi": dict}, source, "plan")
+    roi = plan.pop("roi", {})
+    if isinstance(roi.get("padding_mm"), (int, float)):
+        roi["padding_mm"] = [roi["padding_mm"]] * 2
+    roi = json_fields(roi, {k: schema[k] for k in _ROI_KEYS}, source, "roi", "roi")
+    return build(AnatomyPlan, source, **{"padding_mm": default_padding_mm, "scales": default_scales,
+                                         **plan, **roi})
+
+
+def load_plan(
+    path: str | os.PathLike,
+    default_scales: tuple[float, ...] = DEFAULT_SCALES,
+    default_padding_mm: tuple[float, float] = (DEFAULT_PADDING_MM, DEFAULT_PADDING_MM),
+) -> AnatomyPlan:
+    return plan_from_dict(read_json(path, "plan file"), str(path), default_scales, default_padding_mm)
 
 
 def minmax_normalize(intensity: ScalarGrid) -> np.ndarray:

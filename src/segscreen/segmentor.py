@@ -13,6 +13,7 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,10 +85,16 @@ class Blob:
     peak: float
 
     def __post_init__(self) -> None:
-        if self.radius < 1.0:
-            raise ValueError(f"blob radius must be >= 1 px, got {self.radius}")
-        if not (0.0 < self.peak <= 1.0):
-            raise ValueError(f"blob peak must lie in (0, 1], got {self.peak}")
+        check_blob(self.radius, self.peak)
+
+
+def check_blob(radius: float, peak: float, prefix: str = "blob ") -> None:
+    """A blob's radius is finite and >= 1 px, its peak in (0, 1]; errors
+    name them as ``prefix`` + radius / peak."""
+    if not (1.0 <= radius < math.inf):
+        raise ValueError(f"{prefix}radius must be finite and >= 1 px, got {radius}")
+    if not (0.0 < peak <= 1.0):
+        raise ValueError(f"{prefix}peak must lie in (0, 1], got {peak}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,7 @@ class SyntheticSceneSpec:
         if self.frame[0] < 1 or self.frame[1] < 1:
             raise ValueError(f"bad frame {self.frame}")
         if not (0.0 <= self.noise_floor <= 1.0):
-            raise ValueError(f"noise floor must lie in [0, 1], got {self.noise_floor}")
+            raise ValueError(f"noise_floor must lie in [0, 1], got {self.noise_floor}")
 
 
 def _blob_field(frame: tuple[int, int], blobs: tuple[Blob, ...]) -> np.ndarray:

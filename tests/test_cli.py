@@ -97,6 +97,19 @@ class TestRunCommand:
         rc = main(["run", "--manifest", str(tmp_path / "none.json"), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("change, message", [
+        ({"spacing": [float("inf"), 1.0]}, "entries[0]: spacing must be"),
+        ({"spacing": [True, True]}, "entries[0].spacing must be a list of float"),
+        ({"groundtruth": "case0000.gt.sgrid"}, "unknown entries[0] fields ['groundtruth']"),
+    ])
+    def test_manifest_entry_errors_exit_2(self, tmp_path, capsys, change, message):
+        manifest = write_dataset(tmp_path, n_cases=2, seed=5)
+        data = json.loads(manifest.read_text())
+        data["entries"][0].update(change)
+        manifest.write_text(json.dumps(data))
+        assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: {message}")
+
     def test_config_flag_overrides(self, tmp_path, capsys):
         manifest = write_dataset(tmp_path, n_cases=1, seed=5)
         out_dir = tmp_path / "out"
@@ -321,6 +334,31 @@ class TestBenchCommand:
         rc = main(["bench", "--spec", str(spec_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {spec_path}: {key} must be")
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"noise_floor": 1.5}, "noise_floor"),
+        ({"organ_peak": 1.2}, "organ_peak"),
+        ({"organ_radius": float("nan")}, "organ_radius"),
+        ({"lesion_peak": 0}, "lesion_peak"),
+        ({"lesion_area_px": 3.0}, "lesion_area_px"),
+        ({"clutter_radius": [0.5, 0.8]}, "clutter_radius"),
+        ({"clutter_peak": [0.0, 0.5]}, "clutter_peak"),
+        ({"control_sd": -0.1}, "control_sd"),
+        ({"background_sd": float("inf")}, "background_sd"),
+        ({"control_mean": float("nan")}, "control_mean"),
+        ({"effect_size": float("nan")}, "effect_size"),
+        ({"frame": [8, 8]}, "frame"),
+    ])
+    def test_bench_spec_that_make_case_cannot_build_exits_2(self, tmp_path, capsys, entry, key):
+        spec_path = tmp_path / "bench.json"
+        spec_path.write_text(json.dumps({"n_cases": 2, **entry}))
+        assert main(["bench", "--spec", str(spec_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {spec_path}: {key} must ")
+
+    def test_bench_small_frame_without_clutter_runs(self, tmp_path, capsys):
+        spec_path = tmp_path / "bench.json"
+        spec_path.write_text(json.dumps({"n_cases": 2, "frame": [8, 8], "clutter_rate": 0}))
+        assert main(["bench", "--spec", str(spec_path)]) == 0
 
     def test_bench_dump_dir_writes_sgrids(self, tmp_path, capsys):
         spec_path = tmp_path / "bench.json"

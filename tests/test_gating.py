@@ -7,17 +7,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from segscreen.bench import BenchSpec
 from segscreen.candidates import CandidateRegion
 from segscreen.gating import (
     GateConfig,
     GeometricParams,
     ScoringParams,
     StatisticalParams,
+    from_json,
     gate_candidate,
     gate_case,
     gate_existence,
+    json_types,
 )
-from segscreen.geometry import BoundingBox
+from segscreen.geometry import AnatomyPlan, BoundingBox
 from segscreen.grid import BinaryMask, ScalarGrid
 
 
@@ -71,6 +74,8 @@ class TestGateConfig:
         ("padding_mm", float("nan"), "padding_mm"),
         ("view_rule", "min", "view rule"),
         ("permutations", 5, "permutations"),
+        ("tau_case", float("nan"), "tau_case"),
+        ("tau_case", float("inf"), "tau_case"),
     ])
     def test_rules_of_later_stages_applied_when_built(self, field, value, match):
         with pytest.raises(ValueError, match=match):
@@ -89,9 +94,9 @@ class TestGateConfig:
         assert cfg.geometric.tau_case == 2.0
 
     def test_from_dict_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown config sections"):
+        with pytest.raises(ValueError, match=r"^<config>: unknown config fields \['misc'\]$"):
             GateConfig.from_dict({"misc": {}})
-        with pytest.raises(ValueError, match="unknown keys"):
+        with pytest.raises(ValueError, match=r"^<config>: unknown scoring fields \['tau_bun'\]$"):
             GateConfig.from_dict({"scoring": {"tau_bun": 0.4}})
 
     @pytest.mark.parametrize("data,key", [
@@ -129,6 +134,18 @@ class TestGateConfig:
         cfg = GateConfig().override(tau_bin=0.5)
         again = GateConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
+
+
+@pytest.mark.parametrize("cls,key", [
+    (cls, key)
+    for cls in (ScoringParams, StatisticalParams, GeometricParams, BenchSpec, AnatomyPlan)
+    for key in json_types(cls)
+])
+def test_from_json_rejects_wrong_type_of_every_field(cls, key):
+    # A string where a number, bool or list belongs; a number where a string belongs.
+    wrong = 1 if json_types(cls)[key] is str else "1"
+    with pytest.raises(ValueError, match=rf"^src\.json: {key} must be"):
+        from_json(cls, {key: wrong}, "src.json")
 
 
 class TestGateExistence:

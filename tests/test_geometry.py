@@ -9,13 +9,12 @@ from segscreen.geometry import (
     bbox_of_mask,
     boxes_to_mask,
     build_rois,
-    load_plan,
     pad_bbox,
-    plan_from_dict,
     scale_bbox,
     square_bbox,
 )
 from segscreen.grid import BinaryMask
+from segscreen.pipeline import load_plan, plan_from_dict
 
 
 def mask_with(frame, pixels):
@@ -192,6 +191,26 @@ class TestPlanParsing:
     def test_field_errors_are_named(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             plan_from_dict(self.make_plan_dict(**{field: value}))
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"anchor_treshold": 0.9}, r"unknown plan fields \['anchor_treshold'\]"),
+        ({"roi": {"padding": 10}}, r"unknown roi fields \['padding'\]"),
+        ({"roi": {"anchor_threshold": 0.9}}, r"unknown roi fields \['anchor_threshold'\]"),
+        ({"scales": [1.0]}, r"unknown plan fields \['scales'\]"),
+    ])
+    def test_unknown_keys_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=rf"^plan\.json: {message}$"):
+            plan_from_dict(self.make_plan_dict(**overrides), source="plan.json")
+
+    def test_missing_required_field_named(self):
+        data = self.make_plan_dict()
+        del data["anchors"]
+        with pytest.raises(ValueError, match=r"^plan\.json: missing fields \['anchors'\]$"):
+            plan_from_dict(data, source="plan.json")
+
+    def test_padding_must_be_a_pair(self):
+        with pytest.raises(ValueError, match="padding_mm must be a pair"):
+            AnatomyPlan(anchors=("a",), tumor_prompt="t", padding_mm=(1.0, 2.0, 3.0))
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError, match="scales"):

@@ -40,6 +40,14 @@ class TestManifestLoading:
         with pytest.raises(ValueError, match="does not exist"):
             load_manifest(bad)
 
+    def test_null_optional_keys_count_as_absent(self, tmp_path, small_dataset):
+        data = json.loads(small_dataset.read_text())
+        data["entries"][0].update(ground_truth=None, spacing=None)
+        path = tmp_path / "nulls.json"
+        path.write_text(json.dumps(data))
+        entry = load_manifest(path)[0]
+        assert entry.ground_truth_path is None and entry.spacing is None
+
     def test_field_errors_are_located(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"entries": [{"image_id": ""}]}))
